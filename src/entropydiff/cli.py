@@ -24,13 +24,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import EntropyDiffError
-from .geomnum import RectDomain
+from .geomnum import RectDomain, ScalarField
 from .hill import (
     HOPF_SIGN_CONVENTION,
     HillSystem,
     canonical_state_mu_nu,
     canonical_state_phi_alpha,
     integrate_hill,
+    liouville_residual,
     reconstruct_weierstrass,
     solve_on_grid,
 )
@@ -38,6 +39,7 @@ from .jets import parse_expression
 from .models import MODEL_NAMES, get_model
 from .surface import SurfaceMesh, grid_faces, inverse_stereographic, sample_mesh, write_obj, write_sidecar
 from .verify import (
+    TOLERANCES,
     Report,
     ecritical_residual,
     hill_round_trip,
@@ -46,7 +48,7 @@ from .verify import (
     soliton_check,
     weighted_entropy_norm,
 )
-from .weierstrass import WeierstrassData, entropy_field, hopf_field, metric_fields, norm_fields
+from .weierstrass import SurfaceFields, WeierstrassData
 
 SCHEMA_VERSION = 1
 T_CLAMP = 1e-3
@@ -142,6 +144,12 @@ def _parse_domain(text: str) -> RectDomain:
         raise BadInput(f"bad domain {text!r}; expected x0,x1,y0,y1") from exc
 
 
+def _positive(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise BadInput(f"{name} must be a finite number > 0, not {value!r}")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
     try:
         return complex(parse_expression(text).eval(0.0))
@@ -206,10 +214,9 @@ def cmd_analyze(args) -> dict:
     data, params = _surface_from_args(args)
     nx, ny = _parse_grid(args.grid)
     grid = data.domain.grid(nx, ny)
-    mf = metric_fields(data, grid.zs)
-    q = hopf_field(data, grid.zs)
-    rho = entropy_field(data, grid.zs)
-    T, That = norm_fields(data, grid.zs)
+    f = SurfaceFields(data, grid.zs)
+    mf, q, rho = f.metric, f.q, f.rho
+    T, That = f.norms
     K = mf["K"]
     finiteK = K[np.isfinite(K)]
     finite_rho = np.abs(rho[np.isfinite(rho)])
@@ -341,9 +348,6 @@ def _run_check(name: str, args, data: WeierstrassData, grid) -> Report:
     if name == "soliton":
         return soliton_check(data, grid)
     if name == "liouville":
-        from .geomnum import ScalarField
-        from .hill import liouville_residual
-
         rho_text = _LIOUVILLE_RHO.get(args.surface or "", "0")
         rho = parse_expression(rho_text)
         if rho_text == "0":
@@ -355,8 +359,6 @@ def _run_check(name: str, args, data: WeierstrassData, grid) -> Report:
         u = np.log(np.abs(f["w1"]) ** 2 + np.abs(f["w2"]) ** 2)
         res = liouville_residual(ScalarField(grid, u))
         delta = max(grid.hx, grid.hy)
-        from .verify import TOLERANCES
-
         tol = TOLERANCES["stencil_liouville"] * delta**2
         return Report(
             "liouville",
@@ -381,7 +383,7 @@ def cmd_verify(args) -> dict:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     if not checks:
         raise BadInput("no checks requested")
-    delta = args.delta
+    delta = _positive("--delta", args.delta)
     patch = _VERIFY_DEFAULT_PATCH.get(args.surface or "", RectDomain(-1.0, 1.0, -1.0, 1.0))
     if args.domain is not None:
         patch = _parse_domain(args.domain)
@@ -415,7 +417,7 @@ def cmd_norm(args) -> dict:
         x_cut = 20.0
     if x_cut is not None:
         dom = RectDomain(-x_cut, x_cut, dom.y0, dom.y1)
-    value = weighted_entropy_norm(data, dom, tol=args.tol)
+    value = weighted_entropy_norm(data, dom, tol=_positive("--tol", args.tol))
     return {
         "schema": SCHEMA_VERSION,
         "command": "norm",

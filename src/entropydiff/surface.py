@@ -16,7 +16,7 @@ import numpy as np
 from .errors import PoleOnPath
 from .geomnum import RectDomain, UniformGrid, integrate_segment
 from .jets import eval_jet, jet_div, jet_mul
-from .weierstrass import WeierstrassData, metric_fields, norm_fields
+from .weierstrass import SurfaceFields, WeierstrassData
 
 __all__ = [
     "ImmersionPoint",
@@ -225,17 +225,15 @@ def sample_mesh(
         col_acc = col_acc + res.value
         positions[j, :, :] = np.real(col_acc).T
 
-    mf = metric_fields(data, zs)
-    T, That = norm_fields(data, zs)
-    jG = eval_jet(data.G, zs, 0)
-    normals = inverse_stereographic(jG.value)
+    fields = SurfaceFields(data, zs)
+    T, That = fields.norms
 
     return SurfaceMesh(
         grid=grid,
         zs=zs,
         positions=positions,
-        normals=normals,
-        K=mf["K"],
+        normals=inverse_stereographic(fields.G),
+        K=fields.metric["K"],
         T_norm=T,
         That_norm=That,
         faces=grid_faces(ny, nx),

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     NonpositiveCurvature,
@@ -40,13 +39,7 @@ from .hill import HillSystem, canonical_state_mu_nu, integrate_hill, reconstruct
 from .jets import AnalyticExpr
 from .models import deformed_helicoid
 from .surface import SurfaceMesh, period_vector
-from .weierstrass import (
-    WeierstrassData,
-    entropy_field,
-    metric_fields,
-    norm_fields,
-    rho_from_derivatives,
-)
+from .weierstrass import SurfaceFields, WeierstrassData, entropy_field, metric_fields, rho_from_jets
 
 __all__ = [
     "TOLERANCES",
@@ -120,9 +113,16 @@ def _umbilic_guard(K: np.ndarray, grid: UniformGrid, guard_nodes: int = 3) -> np
     near = ~(np.abs(K) > TOLERANCES["umbilic_kappa_rel"] * scale) | ~np.isfinite(K)
     if not near.any():
         return near
-    yy, xx = np.ogrid[-guard_nodes : guard_nodes + 1, -guard_nodes : guard_nodes + 1]
-    disk = xx * xx + yy * yy <= guard_nodes * guard_nodes
-    return ndimage.binary_dilation(near, structure=disk)
+    # dilate by the disk of radius g: OR of the mask shifted by each offset
+    g = guard_nodes
+    ny, nx = near.shape
+    padded = np.pad(near, g)
+    out = np.zeros_like(near)
+    for dy in range(-g, g + 1):
+        for dx in range(-g, g + 1):
+            if dx * dx + dy * dy <= g * g:
+                out |= padded[g + dy : g + dy + ny, g + dx : g + dx + nx]
+    return out
 
 
 def _stencil_stats(resid: np.ndarray, grid: UniformGrid, guard: np.ndarray):
@@ -359,9 +359,8 @@ def weighted_entropy_norm(data: WeierstrassData, domain: RectDomain | None = Non
     domain = domain or data.domain
 
     def density(zs):
-        mf = metric_fields(data, zs)
-        _, that = norm_fields(data, zs)
-        return np.sqrt(np.maximum(that, 0.0)) * mf["lambda_sq"]
+        f = SurfaceFields(data, zs)
+        return np.sqrt(np.maximum(f.norms[1], 0.0)) * f.metric["lambda_sq"]
 
     return float(integrate2d(density, domain, tol=tol).value) ** 2
 
@@ -483,11 +482,7 @@ def hill_round_trip(rho: AnalyticExpr, n_samples: int = 50, reach: complex = 1.0
     for zp in pts:
         st = sol.states_at([zp])[0]
         jG, jh = reconstructed_data_jets(st, rho, zp)
-        rhat = rho_from_derivatives(
-            jG.coeffs[0], jG.coeffs[1], 2 * jG.coeffs[2], 6 * jG.coeffs[3],
-            jh.coeffs[0], jh.coeffs[1], 2 * jh.coeffs[2],
-        )
-        worst = max(worst, abs(complex(rhat) - rho.eval(zp)))
+        worst = max(worst, abs(complex(rho_from_jets(jG, jh)) - rho.eval(zp)))
     tol = TOLERANCES["round_trip_rho"]
     ok = worst <= tol and sol.wronskian_drift <= TOLERANCES["wronskian_drift"]
     return Report(

@@ -2,7 +2,8 @@
 
 The data is a pair of closed-form functions (G, h) on a rectangle: G is the
 stereographic image of the Gauss map, h the coefficient of the height
-differential h dz.  Everything here is algebraic in the jets of G and h:
+differential h dz.  Everything here is algebraic in one jet of G (order 3)
+and one jet of h (order 2):
 
     metric      lambda^2 = (|h|^2/4)(|G| + |G|^-1)^2
     curvature   K        = -16 |G G'/h|^2 / (1+|G|^2)^4
@@ -10,10 +11,17 @@ differential h dz.  Everything here is algebraic in the jets of G and h:
     entropy     rho                              (P = rho/2 dz^2)
 
 with rho the eight-term rational combination of G', G'', G''', h', h''.
+:class:`SurfaceFields` takes both jets once per point set; rho and the
+norms |T|, |T-hat| are derived only when read.
+
 Removable singularities of the displayed quotients (e.g. G and h vanishing
-together) are absorbed by jet cancellation; points where only the eight-term
-*decomposition* of rho degenerates are recovered through the mean-value
-property of holomorphic functions on a small circle.
+together) are absorbed by jet cancellation, but the eight terms of rho
+still cancel near them.  One mask flags the nodes where q, h/G or hG is
+non-finite or those terms cancel, and one jet pass over small circles
+around them recovers the fields there by the mean-value property; every
+other node keeps its direct value.  Umbilics (q = 0) keep their direct
+rho, a double pole (|T| = inf), while |T-hat| comes from the circle mean
+of the holomorphic product q^2 rho.
 
 Field functions (suffix ``_fields``/``_field``) evaluate whole grids of
 points at once and mark failures with NaN; the sample functions take one
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +44,7 @@ __all__ = [
     "WeierstrassData",
     "MetricSample",
     "QuadDiffSample",
+    "SurfaceFields",
     "metric_fields",
     "metric_sample",
     "hopf_field",
@@ -42,6 +52,7 @@ __all__ = [
     "entropy_field",
     "entropy_coefficient",
     "rho_from_derivatives",
+    "rho_from_jets",
     "quad_diff_sample",
     "schwarzian",
     "norm_fields",
@@ -57,6 +68,15 @@ _T_NORM_FACTOR = 1.0 / math.sqrt(2.0)
 
 # Relative threshold for "the Hopf coefficient vanishes" (umbilic point).
 _UMBILIC_RTOL = 1e-9
+
+# rho is recovered where its largest term exceeds _CANCEL_RATIO times
+# max(|rho|, |K| lambda^2); the second keeps rho = 0 (Enneper) from flagging
+# every node.  On C_t at 256^2 (80 benchmark parameters) the kept nodes hold
+# rho = q to 4e-9 and the flagged ones lie within 0.0083 of the removable
+# zero of (G, h), well inside their circles of radius _CIRCLE_RADIUS.
+_CANCEL_RATIO = 1e5
+_CIRCLE_RADIUS = 2e-2
+_CIRCLE_POINTS = 16
 
 
 @dataclass
@@ -120,134 +140,6 @@ class QuadDiffSample:
     rho: complex
 
 
-# ---------------------------------------------------------------------------
-# Jet plumbing
-# ---------------------------------------------------------------------------
-
-def _base_jets(data: WeierstrassData, z):
-    """Order-3 jet of G and order-2 jet of h (all derivatives rho needs)."""
-    return eval_jet(data.G, z, 3), eval_jet(data.h, z, 2)
-
-
-def _derivatives(jG, jh):
-    G = jG.coeffs[0]
-    G1 = jG.coeffs[1]
-    G2 = 2.0 * jG.coeffs[2]
-    G3 = 6.0 * jG.coeffs[3]
-    h = jh.coeffs[0]
-    h1 = jh.coeffs[1]
-    h2 = 2.0 * jh.coeffs[2]
-    return G, G1, G2, G3, h, h1, h2
-
-
-# ---------------------------------------------------------------------------
-# Metric, curvature, Hopf coefficient
-# ---------------------------------------------------------------------------
-
-def _holomorphic_parts(data: WeierstrassData, z):
-    """(q, h/G, hG) on an array of points.
-
-    All three are holomorphic wherever the data describes an immersion
-    (h/G = -2 w1^2 and hG = -2 w2^2 in spinor terms), so isolated nodes
-    where the jet evaluation degenerates -- e.g. an exact hit on a Gauss
-    map pole of the deformed families -- are recovered by the circle
-    mean-value fallback.
-    """
-    zz = np.asarray(z, dtype=np.complex128)
-    jG, jh = _base_jets(data, zz)
-    jGp = jG.derivative_jet()
-    with np.errstate(all="ignore"):
-        q = np.asarray(-jet_div(jet_mul(jh, jGp), jG).value, dtype=np.complex128)
-        r = np.asarray(jet_div(jh, jG).value, dtype=np.complex128)
-        p = np.asarray(jet_mul(jh, jG).value, dtype=np.complex128)
-    for idx, part in enumerate((q, r, p)):
-        bad = ~np.isfinite(part)
-        if not np.any(bad):
-            continue
-        flat = part.reshape(-1)
-        flat_z = np.broadcast_to(zz, part.shape).reshape(-1)
-        fn = (
-            lambda pts, i=idx: np.asarray(_holomorphic_parts_raw(data, pts)[i], dtype=np.complex128)
-        )
-        for i in np.nonzero(bad.reshape(-1))[0]:
-            flat[i] = _circle_mean(fn, flat_z[i], 1e-3)
-    return q, r, p
-
-
-def _holomorphic_parts_raw(data: WeierstrassData, z):
-    zz = np.asarray(z, dtype=np.complex128)
-    jG, jh = _base_jets(data, zz)
-    jGp = jG.derivative_jet()
-    with np.errstate(all="ignore"):
-        return (
-            -jet_div(jet_mul(jh, jGp), jG).value,
-            jet_div(jh, jG).value,
-            jet_mul(jh, jG).value,
-        )
-
-
-def metric_fields(data: WeierstrassData, z):
-    """lambda^2, K, u, |A|^2 at an array of points (NaN where singular).
-
-    Computed in the pole-stable grouping s = |h/G| + |hG| and the Hopf
-    coefficient q = -h G'/G:
-
-        lambda^2 = s^2/4,   K = -16 |q|^2 / s^4,
-        u = -log 2 - log|q|/2 + log s.
-
-    These are algebraically identical to the displayed formulas
-    lambda^2 = (|h|^2/4)(|G|+|G|^-1)^2 and K = -16|GG'|^2/(|h|^2(1+|G|^2)^4)
-    (with the |h|^2 denominator; see the curvature design decision) but
-    stay finite across Gauss-map poles, where G blows up and h vanishes.
-    """
-    q, r, p = _holomorphic_parts(data, z)
-    with np.errstate(all="ignore"):
-        s = np.abs(r) + np.abs(p)
-        lambda_sq = 0.25 * s**2
-        K = -16.0 * np.abs(q) ** 2 / s**4
-        u = -np.log(2.0) - 0.5 * np.log(np.abs(q)) + np.log(s)
-    return {
-        "lambda_sq": np.real(lambda_sq),
-        "K": np.real(K),
-        "u": np.real(u),
-        "A_norm_sq": np.real(-2.0 * K),
-    }
-
-
-def metric_sample(data: WeierstrassData, z: complex) -> MetricSample:
-    """Metric, curvature, u and |A|^2 at a single point."""
-    if not data.contains(z):
-        raise ValueError(f"{z} outside the data domain")
-    f = metric_fields(data, complex(z))
-    lam2 = float(f["lambda_sq"])
-    if not np.isfinite(lam2) or lam2 <= 0.0 or lam2 < 1e-280:
-        raise DegeneratePoint(f"conformal factor degenerates at {z}")
-    K = float(f["K"])
-    if not np.isfinite(K):
-        raise PoleAtPoint(f"curvature undefined at {z}")
-    return MetricSample(z=complex(z), lambda_sq=lam2, K=K, u=float(f["u"]), A_norm_sq=-2.0 * K)
-
-
-def hopf_field(data: WeierstrassData, z):
-    """Hopf coefficient q = -h G'/G on an array of points (holomorphic;
-    isolated degenerate nodes recovered by the circle mean)."""
-    q, _, _ = _holomorphic_parts(data, z)
-    return q
-
-
-def hopf_coefficient(data: WeierstrassData, z: complex) -> complex:
-    if not data.contains(z):
-        raise ValueError(f"{z} outside the data domain")
-    q = complex(hopf_field(data, complex(z)))
-    if not np.isfinite(q.real) or not np.isfinite(q.imag):
-        raise PoleAtPoint(f"Hopf coefficient undefined at {z}")
-    return q
-
-
-# ---------------------------------------------------------------------------
-# Entropy coefficient
-# ---------------------------------------------------------------------------
-
 def rho_from_derivatives(G, G1, G2, G3, h, h1, h2):
     """The eight-term entropy coefficient from pointwise derivatives.
 
@@ -255,66 +147,228 @@ def rho_from_derivatives(G, G1, G2, G3, h, h1, h2):
           + G''h'/2G'h - G'h'/2Gh - h''/h + 5h'^2/4h^2
     """
     with np.errstate(all="ignore"):
-        return (
-            G3 / G1
-            + G2 / (2.0 * G)
-            - 3.0 * G1**2 / (4.0 * G**2)
-            - 7.0 * G2**2 / (4.0 * G1**2)
-            + G2 * h1 / (2.0 * G1 * h)
-            - G1 * h1 / (2.0 * G * h)
-            - h2 / h
-            + 5.0 * h1**2 / (4.0 * h**2)
-        )
+        first, *rest = _rho_terms(G, G1, G2, G3, h, h1, h2)
+        return sum(rest, first)
 
 
-def _circle_mean(fn, center: complex, radius: float, n: int = 16):
-    """Center value of a function holomorphic near ``center`` via the
-    discrete mean-value property (aliasing error O(radius^n)).
+def _rho_terms(G, G1, G2, G3, h, h1, h2):
+    return (
+        G3 / G1,
+        G2 / (2.0 * G),
+        -3.0 * G1**2 / (4.0 * G**2),
+        -7.0 * G2**2 / (4.0 * G1**2),
+        G2 * h1 / (2.0 * G1 * h),
+        -G1 * h1 / (2.0 * G * h),
+        -h2 / h,
+        5.0 * h1**2 / (4.0 * h**2),
+    )
 
-    Guards against misuse at a genuine pole: if the circle values scatter
-    far more than continuity allows, the singularity is not removable and
-    NaN is returned.
+
+# ---------------------------------------------------------------------------
+# The field bundle
+# ---------------------------------------------------------------------------
+
+def _jets(data: WeierstrassData, z):
+    """The one jet pass: G to order 3 and h to order 2 (all rho needs)."""
+    return eval_jet(data.G, z, 3), eval_jet(data.h, z, 2)
+
+
+def _parts(jG, jh):
+    """(q, h/G, hG), with removable quotients cancelled by the jets.
+
+    All three are holomorphic wherever the data describes an immersion
+    (h/G = -2 w1^2 and hG = -2 w2^2 in spinor terms).
     """
-    theta = 2.0 * np.pi * np.arange(n) / n
-    pts = center + radius * np.exp(1j * theta)
-    vals = np.asarray(fn(pts), dtype=np.complex128)
-    if not np.all(np.isfinite(vals)):
-        return complex(np.nan, np.nan)
-    mean = np.mean(vals)
-    spread = float(np.max(np.abs(vals - mean)))
-    if spread > 10.0 * (1.0 + abs(mean)):
-        return complex(np.nan, np.nan)
-    return mean
+    with np.errstate(all="ignore"):
+        q = -jet_div(jet_mul(jh, jG.derivative_jet()), jG).value
+        r = jet_div(jh, jG).value
+        p = jet_mul(jh, jG).value
+    return tuple(np.asarray(v, dtype=np.complex128) for v in (q, r, p))
 
 
-def entropy_field(data: WeierstrassData, z, fallback: bool = True):
-    """Entropy coefficient rho on an array of points.
+def _derivatives(jG, jh):
+    """(G, G', G'', G''', h, h', h'') from a jet of G (order >= 3) and of h (order >= 2)."""
+    c, d = jG.coeffs, jh.coeffs
+    return c[0], c[1], 2.0 * c[2], 6.0 * c[3], d[0], d[1], 2.0 * d[2]
 
-    Genuine umbilic poles come back NaN.  Points where only the eight-term
-    decomposition degenerates (G or h vanishing with regular rho) are
-    recovered via the circle mean-value fallback when ``fallback`` is set.
+
+def rho_from_jets(jG, jh) -> np.ndarray:
+    """rho from a jet of G (order >= 3) and a jet of h (order >= 2)."""
+    return np.asarray(rho_from_derivatives(*_derivatives(jG, jh)), dtype=np.complex128)
+
+
+def _circle_means(data: WeierstrassData, centers: np.ndarray) -> np.ndarray:
+    """Means of (q, h/G, hG, rho, q^2 rho) over a circle around each center.
+
+    Returns shape (5, len(centers)).  The discrete mean-value property has
+    aliasing error O((radius/R)^n), R the distance to the nearest
+    singularity.  A mean is NaN where the circle values are not finite or
+    scatter far more than continuity allows (a genuine pole inside).
     """
-    zz = np.asarray(z, dtype=np.complex128)
-    jG, jh = _base_jets(data, zz)
-    rho = np.asarray(rho_from_derivatives(*_derivatives(jG, jh)), dtype=np.complex128)
+    theta = 2.0 * np.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
+    pts = centers[:, None] + _CIRCLE_RADIUS * np.exp(1j * theta)
+    jG, jh = _jets(data, pts)
+    q, r, p = _parts(jG, jh)
+    rho = rho_from_jets(jG, jh)
+    with np.errstate(all="ignore"):
+        vals = np.stack([q, r, p, rho, q**2 * rho])
+        mean = vals.mean(axis=-1)
+        spread = np.abs(vals - mean[..., None]).max(axis=-1)
+    ok = np.isfinite(vals).all(axis=-1) & (spread <= 10.0 * (1.0 + np.abs(mean)))
+    return np.where(ok, mean, np.nan)
 
-    if fallback:
-        bad = ~np.isfinite(rho)
-        if np.any(bad):
-            q = np.asarray(hopf_field(data, zz), dtype=np.complex128)
-            qscale = np.nanmax(np.abs(q[np.isfinite(q)])) if np.any(np.isfinite(q)) else 1.0
-            flat_rho = rho.reshape(-1)
-            flat_bad = bad.reshape(-1)
-            flat_q = np.broadcast_to(q, rho.shape).reshape(-1)
-            flat_z = np.broadcast_to(zz, rho.shape).reshape(-1)
-            for i in np.nonzero(flat_bad)[0]:
-                if not np.isfinite(flat_q[i]) or abs(flat_q[i]) <= _UMBILIC_RTOL * max(qscale, 1.0):
-                    continue  # umbilic: rho genuinely has a double pole
-                flat_rho[i] = _circle_mean(
-                    lambda pts: entropy_field(data, pts, fallback=False), flat_z[i], 1e-3
-                )
-            rho = flat_rho.reshape(rho.shape)
+
+class SurfaceFields:
+    """Every first-order field of (G, h) on one point set, from one jet pass.
+
+    ``G``, ``q``, ``h_over_G`` and ``hG`` are set on construction;
+    ``metric`` (the dict of :func:`metric_fields`), ``rho`` and ``norms``
+    (|T|, |T-hat|) are derived on first access.  Recovered nodes are
+    filled in throughout.
+    """
+
+    def __init__(self, data: WeierstrassData, z):
+        self._data = data
+        self.z = np.asarray(z, dtype=np.complex128)
+        self._jG, self._jh = _jets(data, self.z)
+        self.G = self._jG.value
+        self._direct = q, r, p = _parts(self._jG, self._jh)
+        self._singular = ~(np.isfinite(q) & np.isfinite(r) & np.isfinite(p))
+        qscale = max(float(np.abs(q[~self._singular]).max(initial=0.0)), 1.0)
+        self._umbilic = ~self._singular & (np.abs(q) <= _UMBILIC_RTOL * qscale)
+        self.q, self.h_over_G, self.hG = (self._recover(i, v, self._singular) for i, v in enumerate((q, r, p)))
+
+    @cached_property
+    def _fallback(self):
+        """(direct rho, circled nodes, their circle means): the one fallback
+        pass.  Circled are the singular nodes, those where the eight terms of
+        rho cancel, and the umbilics, where |T-hat| extends continuously."""
+        q, r, p = self._direct
+        with np.errstate(all="ignore"):
+            terms = _rho_terms(*_derivatives(self._jG, self._jh))
+            rho = np.asarray(sum(terms[1:], terms[0]), dtype=np.complex128)
+            largest = np.max([np.abs(t) for t in terms], axis=0)
+            curvature = 4.0 * np.abs(q) ** 2 / (np.abs(r) + np.abs(p)) ** 2  # |K| lambda^2
+            cancels = ~(largest <= _CANCEL_RATIO * np.maximum(np.abs(rho), curvature))
+        circled = self._singular | cancels | self._umbilic
+        return rho, circled, (_circle_means(self._data, self.z[circled]) if circled.any() else None)
+
+    def _recover(self, part: int, direct, nodes) -> np.ndarray:
+        """A copy of ``direct`` with circle mean ``part`` at the circled
+        ``nodes``.  Where the circle failed, a finite direct value stays,
+        else NaN."""
+        out = np.array(direct, dtype=np.complex128)
+        if nodes.any():
+            _, circled, means = self._fallback
+            nodes = nodes & circled
+            mean = means[part][nodes[circled]]
+            old = out[nodes]
+            out[nodes] = np.where(np.isfinite(mean), mean, np.where(np.isfinite(old), old, np.nan))
+        return out
+
+    @cached_property
+    def metric(self) -> dict:
+        """lambda^2, K, u, |A|^2 in the pole-stable grouping s = |h/G| + |hG|.
+
+            lambda^2 = s^2/4,   K = -16 |q|^2 / s^4,
+            u = -log 2 - log|q|/2 + log s.
+
+        These are algebraically identical to the displayed formulas
+        lambda^2 = (|h|^2/4)(|G|+|G|^-1)^2 and K = -16|GG'|^2/(|h|^2(1+|G|^2)^4)
+        (with the |h|^2 denominator; see the curvature design decision) but
+        stay finite across Gauss-map poles, where G blows up and h vanishes.
+        """
+        with np.errstate(all="ignore"):
+            s = np.abs(self.h_over_G) + np.abs(self.hG)
+            lambda_sq = 0.25 * s**2
+            K = -16.0 * np.abs(self.q) ** 2 / s**4
+            u = -np.log(2.0) - 0.5 * np.log(np.abs(self.q)) + np.log(s)
+        return {
+            "lambda_sq": np.real(lambda_sq),
+            "K": np.real(K),
+            "u": np.real(u),
+            "A_norm_sq": np.real(-2.0 * K),
+        }
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Entropy coefficient; non-finite at umbilics (a double pole)."""
+        rho, circled, _ = self._fallback
+        return self._recover(3, rho, circled & ~self._umbilic)
+
+    @cached_property
+    def norms(self):
+        """(|T|_g, |T-hat|_g); |T-hat| = |K| |T| through q^2 rho, which is
+        holomorphic across umbilics, where |T| itself is infinite."""
+        lam2 = self.metric["lambda_sq"]
+        with np.errstate(all="ignore"):
+            T = _T_NORM_FACTOR * np.abs(self.rho) / lam2
+            s = self.q**2 * self.rho
+            bad = ~np.isfinite(s)
+            That = _T_NORM_FACTOR * np.abs(self._recover(4, s, bad)) / lam2**3
+        return np.real(np.where(bad, np.inf, T)), np.real(That)
+
+
+# ---------------------------------------------------------------------------
+# Field views and single-point samples
+# ---------------------------------------------------------------------------
+
+def metric_fields(data: WeierstrassData, z):
+    """lambda^2, K, u, |A|^2 at an array of points (NaN where singular)."""
+    return SurfaceFields(data, z).metric
+
+
+def hopf_field(data: WeierstrassData, z):
+    """Hopf coefficient q = -h G'/G on an array of points."""
+    return SurfaceFields(data, z).q
+
+
+def entropy_field(data: WeierstrassData, z):
+    """Entropy coefficient rho on an array of points (non-finite at umbilics)."""
+    return SurfaceFields(data, z).rho
+
+
+def norm_fields(data: WeierstrassData, z):
+    """(|T|_g, |T-hat|_g) on an array of points."""
+    return SurfaceFields(data, z).norms
+
+
+def _at_point(data: WeierstrassData, z) -> SurfaceFields:
+    if not data.contains(z):
+        raise ValueError(f"{z} outside the data domain")
+    return SurfaceFields(data, complex(z))
+
+
+def _hopf_at(f: SurfaceFields) -> complex:
+    q = complex(f.q)
+    if not np.isfinite(q.real) or not np.isfinite(q.imag):
+        raise PoleAtPoint(f"Hopf coefficient undefined at {f.z}")
+    return q
+
+
+def _entropy_at(f: SurfaceFields) -> complex:
+    if abs(_hopf_at(f)) <= _UMBILIC_RTOL:  # raises PoleAtPoint on data poles
+        raise UmbilicPoint(f"umbilic point at {f.z}: entropy differential has a double pole")
+    rho = complex(f.rho)
+    if not (np.isfinite(rho.real) and np.isfinite(rho.imag)):
+        raise PoleAtPoint(f"entropy coefficient undefined at {f.z}")
     return rho
+
+
+def metric_sample(data: WeierstrassData, z: complex) -> MetricSample:
+    """Metric, curvature, u and |A|^2 at a single point."""
+    mf = _at_point(data, z).metric
+    lam2 = float(mf["lambda_sq"])
+    if not np.isfinite(lam2) or lam2 <= 0.0 or lam2 < 1e-280:
+        raise DegeneratePoint(f"conformal factor degenerates at {z}")
+    K = float(mf["K"])
+    if not np.isfinite(K):
+        raise PoleAtPoint(f"curvature undefined at {z}")
+    return MetricSample(z=complex(z), lambda_sq=lam2, K=K, u=float(mf["u"]), A_norm_sq=-2.0 * K)
+
+
+def hopf_coefficient(data: WeierstrassData, z: complex) -> complex:
+    return _hopf_at(_at_point(data, z))
 
 
 def entropy_coefficient(data: WeierstrassData, z: complex) -> complex:
@@ -324,20 +378,24 @@ def entropy_coefficient(data: WeierstrassData, z: complex) -> complex:
     double pole there; use verify.pole_probe for those) and PoleAtPoint
     where the data itself is singular.
     """
-    if not data.contains(z):
-        raise ValueError(f"{z} outside the data domain")
-    q = hopf_coefficient(data, z)  # raises PoleAtPoint on data poles
-    if abs(q) <= _UMBILIC_RTOL:
-        raise UmbilicPoint(f"umbilic point at {z}: entropy differential has a double pole")
-    rho = complex(entropy_field(data, complex(z)))
-    if not (np.isfinite(rho.real) and np.isfinite(rho.imag)):
-        raise PoleAtPoint(f"entropy coefficient undefined at {z}")
-    return rho
+    return _entropy_at(_at_point(data, z))
 
 
 def quad_diff_sample(data: WeierstrassData, z: complex) -> QuadDiffSample:
     """Hopf and entropy coefficients bundled at one non-umbilic point."""
-    return QuadDiffSample(z=complex(z), q=hopf_coefficient(data, z), rho=entropy_coefficient(data, z))
+    f = _at_point(data, z)
+    return QuadDiffSample(z=complex(z), q=_hopf_at(f), rho=_entropy_at(f))
+
+
+def entropy_form_norms(data: WeierstrassData, z: complex):
+    """(|T|_g, |T-hat|_g) at one point; |T| is inf at umbilics where the
+    continuous extension applies only to |T-hat|."""
+    f = _at_point(data, z)
+    lam2 = f.metric["lambda_sq"]
+    if not np.isfinite(lam2) or lam2 <= 0:
+        raise DegeneratePoint(f"metric degenerates at {z}")
+    T, That = f.norms
+    return float(T), float(That)
 
 
 def schwarzian(G: AnalyticExpr, z) -> complex:
@@ -348,9 +406,7 @@ def schwarzian(G: AnalyticExpr, z) -> complex:
     """
     zz = np.asarray(z, dtype=np.complex128)
     jG = eval_jet(G, zz, 3)
-    G1 = jG.coeffs[1]
-    G2 = 2.0 * jG.coeffs[2]
-    G3 = 6.0 * jG.coeffs[3]
+    G1, G2, G3 = jG.coeffs[1], 2.0 * jG.coeffs[2], 6.0 * jG.coeffs[3]
     scale = np.max(np.abs(jG.coeffs))
     if np.any(np.abs(G1) <= 1e-14 * max(float(scale), 1.0)):
         raise CriticalPoint("G' vanishes: Schwarzian has a pole")
@@ -358,55 +414,3 @@ def schwarzian(G: AnalyticExpr, z) -> complex:
         ratio = G2 / G1
         out = G3 / G1 - 1.5 * ratio**2
     return complex(out) if np.isscalar(z) or isinstance(z, complex) else out
-
-
-# ---------------------------------------------------------------------------
-# Pointwise norms of the entropy form
-# ---------------------------------------------------------------------------
-
-def norm_fields(data: WeierstrassData, z):
-    """(|T|_g, |T-hat|_g) on an array of points.
-
-    |T-hat| = |K| |T| is continuous across umbilic points; there it is
-    evaluated through the holomorphic product q^2 rho (mean-value fallback),
-    while |T| itself is infinite.
-    """
-    zz = np.asarray(z, dtype=np.complex128)
-    mf = metric_fields(data, zz)
-    lam2 = mf["lambda_sq"]
-    rho = entropy_field(data, zz)
-    q = np.asarray(hopf_field(data, zz), dtype=np.complex128)
-
-    with np.errstate(all="ignore"):
-        T = _T_NORM_FACTOR * np.abs(rho) / lam2
-        s = q**2 * rho                                  # holomorphic across umbilics
-        That = _T_NORM_FACTOR * np.abs(s) / lam2**3
-
-    bad = ~np.isfinite(np.real(s)) | ~np.isfinite(np.imag(s))
-    if np.any(bad):
-        flat_s = np.asarray(s, dtype=np.complex128).reshape(-1)
-        flat_bad = bad.reshape(-1)
-        flat_z = np.broadcast_to(zz, np.asarray(s).shape).reshape(-1)
-
-        def _qsq_rho(pts):
-            return np.asarray(hopf_field(data, pts), dtype=np.complex128) ** 2 * entropy_field(
-                data, pts, fallback=False
-            )
-
-        for i in np.nonzero(flat_bad)[0]:
-            flat_s[i] = _circle_mean(_qsq_rho, flat_z[i], 1e-3)
-        That = _T_NORM_FACTOR * np.abs(flat_s.reshape(np.asarray(s).shape)) / lam2**3
-        T = np.where(bad, np.inf, T)
-    return np.real(T), np.real(That)
-
-
-def entropy_form_norms(data: WeierstrassData, z: complex):
-    """(|T|_g, |T-hat|_g) at one point; |T| is inf at umbilics where the
-    continuous extension applies only to |T-hat|."""
-    if not data.contains(z):
-        raise ValueError(f"{z} outside the data domain")
-    mf = metric_fields(data, complex(z))
-    if not np.isfinite(mf["lambda_sq"]) or mf["lambda_sq"] <= 0:
-        raise DegeneratePoint(f"metric degenerates at {z}")
-    T, That = norm_fields(data, complex(z))
-    return float(T), float(That)

@@ -167,3 +167,27 @@ def test_numeric_failure_exit_code(tmp_path):
     code, doc = _run(tmp_path, "reconstruct", "--rho", "1/z")
     assert code == 2
     assert doc["error"]["code"] == "pole-on-path"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--surface", "catenoid", "--delta", "0"),
+        ("verify", "--surface", "catenoid", "--delta", "nan"),
+        ("norm", "--surface", "catenoid", "--tol", "0"),
+        ("norm", "--surface", "catenoid", "--tol", "inf"),
+    ],
+)
+def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, argv):
+    code, doc = _run(tmp_path, *argv)
+    assert code == 1
+    assert doc["error"]["code"] == "bad-input"
+
+
+def test_cli_import_leaves_scipy_out():
+    import subprocess
+    import sys
+
+    probe = "import sys, entropydiff.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -43,6 +43,11 @@ def test_family_relations():
     assert family_relation_residual(enneper()) < 1e-9
     assert family_relation_residual(deformed_catenoid(0.3)) < 1e-9
     assert family_relation_residual(deformed_helicoid(-0.7)) < 1e-9
+    # 256^2 grids with nodes within 1e-4 of the zero of G at z = log t,
+    # where the eight-term formula for rho cancels catastrophically
+    for t in (0.4114, 0.4066, 0.3658):
+        for m in (deformed_catenoid(t), deformed_helicoid(t)):
+            assert family_relation_residual(m, m.data.domain.grid(256, 256)) < 1e-8
 
 
 def test_catenoid_is_c0_with_section52_curvature():

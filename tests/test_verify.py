@@ -25,6 +25,7 @@ from entropydiff.verify import (
     ricci_residual_fields,
     soliton_check,
     weighted_entropy_norm,
+    _umbilic_guard,
 )
 from entropydiff.weierstrass import WeierstrassData, metric_fields
 
@@ -65,6 +66,22 @@ def test_ricci_umbilic_guard():
     r_02 = ricci_residual(data, patch.grid(51, 51)).statistics["max_residual"]
     r_01 = ricci_residual(data, patch.grid(101, 101)).statistics["max_residual"]
     assert 3.0 <= r_02 / r_01 <= 5.5
+
+
+def test_umbilic_guard_matches_binary_dilation():
+    # scipy is a test-only reference here, like mpmath
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(11)
+    yy, xx = np.ogrid[-3:4, -3:4]
+    disk = xx * xx + yy * yy <= 9
+    for _ in range(50):
+        ny, nx = rng.integers(1, 40, size=2)
+        near = rng.random((ny, nx)) < rng.choice([0.002, 0.02, 0.2])
+        K = np.where(near, 0.0, -1.0)
+        K[near & (rng.random((ny, nx)) < 0.5)] = np.nan
+        grid = RectDomain(0.0, 1.0, 0.0, 1.0).grid(max(nx, 2), max(ny, 2))
+        expected = ndimage.binary_dilation(near, structure=disk)
+        np.testing.assert_array_equal(_umbilic_guard(K, grid), expected)
 
 
 def test_conformal_power_map_cases():

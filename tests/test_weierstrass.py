@@ -94,6 +94,17 @@ def test_entropy_field_fallback_at_decomposition_singularities():
     assert abs(rho0) < 1e-9
 
 
+def test_entropy_field_keeps_direct_values_near_a_branch_point():
+    # G = z^2, h = z^5: rho = 5/z^2 has a genuine pole at the umbilic z = 0.
+    # The eight terms barely cancel there, so nearby nodes keep their direct
+    # values instead of circle means aliased by the pole.
+    data = WeierstrassData(Z**2, Z**5, RectDomain.square(0.06))
+    zs = data.domain.grid(121, 121).zs
+    ring = (np.abs(zs) > 0.02) & (np.abs(zs) < 0.05)
+    rho = entropy_field(data, zs[ring])
+    np.testing.assert_allclose(rho, 5.0 / zs[ring] ** 2, rtol=1e-12)
+
+
 def test_schwarzian_values_and_moebius_invariance():
     assert abs(schwarzian(Z, 0.7)) < 1e-14
     assert abs(schwarzian(exp(Z), 0.0) + 0.5) < 1e-14
