@@ -55,6 +55,7 @@ from .verify import (
     entropy_functional,
     hill_round_trip,
     ht_period_check,
+    liouville_check,
     pole_probe,
     ricci_residual,
     soliton_check,

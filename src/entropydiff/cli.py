@@ -24,14 +24,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import EntropyDiffError
-from .geomnum import RectDomain, ScalarField
+from .geomnum import RectDomain
 from .hill import (
     HOPF_SIGN_CONVENTION,
     HillSystem,
     canonical_state_mu_nu,
     canonical_state_phi_alpha,
     integrate_hill,
-    liouville_residual,
     reconstruct_weierstrass,
     solve_on_grid,
 )
@@ -39,11 +38,11 @@ from .jets import parse_expression
 from .models import MODEL_NAMES, get_model
 from .surface import SurfaceMesh, grid_faces, inverse_stereographic, sample_mesh, write_obj, write_sidecar
 from .verify import (
-    TOLERANCES,
     Report,
     ecritical_residual,
     hill_round_trip,
     ht_period_check,
+    liouville_check,
     ricci_residual,
     soliton_check,
     weighted_entropy_norm,
@@ -331,16 +330,9 @@ def cmd_reconstruct(args) -> dict:
 _VERIFY_DEFAULT_PATCH = {
     "enneper": RectDomain(1.0, 3.0, -1.0, 1.0),
 }
-_LIOUVILLE_RHO = {
-    "catenoid": "-1",
-    "helicoid": "-1i",
-    "enneper": "0",
-    "deformed-catenoid": "-1",
-    "deformed-helicoid": "-1i",
-}
 
 
-def _run_check(name: str, args, data: WeierstrassData, grid) -> Report:
+def _run_check(name: str, args, params: dict, data: WeierstrassData, grid) -> Report:
     if name == "ricci":
         return ricci_residual(data, grid)
     if name == "ecritical":
@@ -348,33 +340,16 @@ def _run_check(name: str, args, data: WeierstrassData, grid) -> Report:
     if name == "soliton":
         return soliton_check(data, grid)
     if name == "liouville":
-        rho_text = _LIOUVILLE_RHO.get(args.surface or "", "0")
-        rho = parse_expression(rho_text)
-        if rho_text == "0":
-            state = canonical_state_mu_nu(1.0)
-        else:
-            state = canonical_state_phi_alpha(0.0, complex(np.sqrt(-complex(rho.eval(0.0)))))
-        sys_ = HillSystem(rho, 0.0, state)
-        f = solve_on_grid(sys_, grid)
-        u = np.log(np.abs(f["w1"]) ** 2 + np.abs(f["w2"]) ** 2)
-        res = liouville_residual(ScalarField(grid, u))
-        delta = max(grid.hx, grid.hy)
-        tol = TOLERANCES["stencil_liouville"] * delta**2
-        return Report(
-            "liouville",
-            {"rho": rho_text, "delta": delta},
-            {
-                "max_residual": res.max_residual,
-                "mean_residual": res.mean_residual,
-                "wronskian_drift": f["wronskian_drift"],
-            },
-            tol,
-            res.max_residual <= tol,
-        )
+        try:
+            return liouville_check(args.surface, grid)
+        except ValueError as exc:
+            if isinstance(exc, EntropyDiffError):
+                raise
+            raise BadInput(str(exc)) from exc
     if name == "ht-period":
-        if args.t is None:
-            raise BadInput("ht-period needs --t")
-        return ht_period_check(args.t)
+        if args.surface != "deformed-helicoid" or "t" not in params:
+            raise BadInput("ht-period measures H_t: give --surface deformed-helicoid --t T")
+        return ht_period_check(params["t"])  # the clamped t of the surface
     raise BadInput(f"unknown check {name!r}")
 
 
@@ -394,9 +369,9 @@ def cmd_verify(args) -> dict:
     threads = int(os.environ.get("ENTROPYDIFF_THREADS", "1") or "1")
     if threads > 1 and len(checks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda c: _run_check(c, args, data, grid), checks))
+            reports = list(pool.map(lambda c: _run_check(c, args, params, data, grid), checks))
     else:
-        reports = [_run_check(c, args, data, grid) for c in checks]
+        reports = [_run_check(c, args, params, data, grid) for c in checks]
     reports.sort(key=lambda r: r.check_name)
     return {
         "schema": SCHEMA_VERSION,

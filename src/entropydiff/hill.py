@@ -6,6 +6,13 @@ matrix [[w1, w2], [w1', w2']] at a base point.  Integrating the system
 along paths, acting by SL(2,C) (QL-factored into SU(2) x lower-triangular)
 and translating the base realize all geometrically distinct solutions.
 
+Integration runs on the jet engine: one jet of rho at a point gives the
+Taylor coefficients of w by c_{k+2} = -(rho w)_k / (4 (k+1)(k+2)), and a
+step sums that series to order 10, accepting it when its last two terms
+are within tolerance and splitting it otherwise (Corliss & Chang, ACM TOMS
+8, 1982; Jorba & Zou, Exp. Math. 14, 2005).  Paths take adaptive steps;
+grids march with one step per cell and all rows in lockstep.
+
 The minimal surface behind a system is recovered through the spinor
 representation: G = w2/w1, h = -2 w1 w2, metric (|w1|^2+|w2|^2)^2.  Data
 reconstructed this way always carries Hopf coefficient q = 2W = +1
@@ -22,14 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    GridTooCoarse,
-    NotUnimodular,
-    PoleOnPath,
-    StepFailure,
-    VanishingSpinor,
-)
-from .geomnum import ScalarField, UniformGrid
+from .errors import NotUnimodular, PoleAtPoint, PoleOnPath, StepFailure, VanishingSpinor
+from .geomnum import ConformalMetricField, ScalarField, UniformGrid, interior_stats, laplacian_conformal
 from .jets import AnalyticExpr, Jet, eval_jet, jet_div, jet_mul
 
 __all__ = [
@@ -125,100 +126,94 @@ def canonical_state_phi_alpha(phi: float, alpha: complex, base: complex = 0j) ->
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) over complex state
+# Taylor steps on the jet engine
 # ---------------------------------------------------------------------------
-
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_ERR = tuple(
-    b5 - b4
-    for b5, b4 in zip(
-        _DP_B5,
-        (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),
-    )
-)
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 _MAX_STEPS_PER_SEGMENT = 200_000
 
+# Order N of a Taylor step: rho's jet to order N - 2 = MAX_JET_ORDER fixes
+# the coefficients c_0 .. c_N of w.
+_ORDER = 10
+_POWERS = np.arange(_ORDER + 1)
+# c_j c_l s^(j+l) integrates over [0, h] to c_j c_l h^(j+l+1) / (j+l+1)
+_SPANS = _POWERS[:, None] + _POWERS[None, :] + 1
 
-def _integrate_ode_segment(fun, y0, z0: complex, z1: complex, rtol: float, atol: float, observer=None):
-    """Dormand-Prince 5(4) from z0 to z1 along the straight segment.
 
-    ``fun(z, y) -> dy/dz`` over complex ndarray state ``y`` of any shape
-    (trailing batch axes integrate in lockstep, sharing the step size).
+def _hill_series(r, w, wp, order: int) -> np.ndarray:
+    """Taylor coefficients c_0 .. c_order of the solutions of
+    w'' + (rho/4) w = 0 with values ``w`` and derivatives ``wp``.
+
+    The equation gives c_{k+2} = -(rho w)_k / (4 (k+1)(k+2)) from rho's
+    Taylor coefficients ``r`` (at least order - 1 of them).  The leading
+    axis of ``w`` counts the solutions; ``r`` broadcasts over it.
+    """
+    r = np.asarray(r)[:, None]
+    c = np.empty((order + 1,) + np.broadcast_shapes(np.shape(w), r.shape[1:]), dtype=np.complex128)
+    c[0], c[1] = w, wp
+    for k in range(order - 1):
+        c[k + 2] = -(r[: k + 1] * c[k::-1]).sum(axis=0) / (4.0 * (k + 1) * (k + 2))
+    return c
+
+
+def _position_increments(c: np.ndarray, h: complex) -> np.ndarray:
+    """Integrals over one step h of w2^2 - w1^2, -i (w1^2 + w2^2) and
+    -2 w1 w2, term by term from the Taylor coefficients ``c`` of (w1, w2)."""
+    m = np.tensordot(h**_SPANS / _SPANS, c, axes=1)
+    s11, s22, s12 = ((c[:, a] * m[:, b]).sum(axis=0) for a, b in ((0, 0), (1, 1), (0, 1)))
+    return np.stack([s22 - s11, -1j * (s11 + s22), -2.0 * s12])
+
+
+def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, rtol: float, atol: float, observer=None) -> np.ndarray:
+    """Carry states from the points ``z0`` to ``z0 + dz`` by Taylor steps.
+
+    ``y`` has one column per point and the rows (w1, w2, w1', w2'),
+    optionally followed by the position integrals of w2^2 - w1^2,
+    -i (w1^2 + w2^2) and -2 w1 w2.  All columns share each step h: one jet
+    of rho at every point gives the series of w, summed for w and w' and
+    integrated term by term for the positions.  A step is accepted when the
+    last two terms of each series of w and of w' are within
+    atol + rtol max(|old value|, |new value|), and split otherwise (w alone
+    would leave w' off by ~N times that tail near a singularity of rho).
     ``observer(z, y)`` fires at every accepted step.
     """
-    dz = z1 - z0
+    z0 = np.asarray(z0, dtype=np.complex128)
+    y = np.array(y, dtype=np.complex128)
     if dz == 0:
-        return np.array(y0, copy=True)
-    y = np.array(y0, dtype=np.complex128, copy=True)
-
-    def f(s, ys):
-        out = fun(z0 + s * dz, ys) * dz
-        if not np.all(np.isfinite(out)):
-            raise PoleOnPath(f"coefficient evaluation failed near z = {z0 + s * dz}")
-        return out
-
-    s = 0.0
-    h = 0.1
-    k = [None] * 7
-    k[0] = f(s, y)
-    nsteps = 0
-    while s < 1.0:
-        h = min(h, 1.0 - s)
-        if h < 1e-14:
+        return y
+    s, frac = 0.0, 1.0
+    for _ in range(_MAX_STEPS_PER_SEGMENT):
+        last = frac >= 1.0 - s
+        frac = min(frac, 1.0 - s)
+        if frac < 1e-14:
             raise StepFailure("step size underflow in Hill integration")
-        for i in range(1, 7):
-            yi = y
-            for j, a in enumerate(_DP_A[i]):
-                if a:
-                    yi = yi + (a * h) * k[j]
-            k[i] = f(s + _DP_C[i] * h, yi)
-        ynew = y
-        for j, b in enumerate(_DP_B5):
-            if b:
-                ynew = ynew + (b * h) * k[j]
-        errvec = None
-        for j, e in enumerate(_DP_ERR):
-            if e:
-                errvec = (e * h) * k[j] if errvec is None else errvec + (e * h) * k[j]
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
-        err = float(np.max(np.abs(errvec) / scale))
+        z = z0 + s * dz
+        try:
+            r = eval_jet(rho, z, _ORDER - 2).coeffs
+        except PoleAtPoint as exc:
+            raise PoleOnPath(f"rho has a pole near z = {z.flat[0]}") from exc
+        if not np.all(np.isfinite(r)):
+            raise PoleOnPath(f"rho is not finite at z = {z[~np.isfinite(r).all(axis=0)][0]}")
+        h = frac * dz
+        c = _hill_series(r, y[:2], y[2:4], _ORDER)
+        hk = h**_POWERS
+        weights = np.stack([hk, _POWERS * np.concatenate([[0.0], hk[:-1]])])  # of c_k in w and in w'
+        with np.errstate(all="ignore"):
+            new = np.tensordot(weights, c, axes=1).reshape(4, -1)
+            tail = np.abs(weights[:, -2:, None, None] * c[-2:]).sum(axis=1).reshape(4, -1)
+            err = float(np.max(tail / (atol + rtol * np.maximum(np.abs(y[:4]), np.abs(new)))))
         if err <= 1.0:
-            s += h
-            y = ynew
-            k[0] = k[6]  # first-same-as-last
+            y = np.concatenate([new] + ([y[4:] + _position_increments(c, h)] if len(y) > 4 else []))
+            s = 1.0 if last else s + frac
             if observer is not None:
                 observer(z0 + s * dz, y)
-        nsteps += 1
-        if nsteps > _MAX_STEPS_PER_SEGMENT:
-            raise StepFailure("too many steps in Hill integration segment")
-        factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-    return y
-
-
-def _hill_rhs(rho: AnalyticExpr):
-    # single-system RHS over the 2x2 state [[w1,w2],[w1',w2']]
-    def fun(z, y):
-        r = rho.eval(z)
-        out = np.empty_like(y)
-        out[0, :] = y[1, :]
-        out[1, :] = -0.25 * r * y[0, :]
-        return out
-
-    return fun
+            if last:
+                return y
+        # Jorba & Zou: the tail of w' scales like h^(N-2); overflow (NaN) splits most
+        ratio = 0.9 * max(err, 1e-30) ** (-1.0 / (_ORDER - 2)) if err <= 1e300 else 0.0
+        frac *= min(5.0, ratio) if err <= 1.0 else min(0.5, max(0.1, ratio))
+    raise StepFailure("too many steps in Hill integration segment")
 
 
 @dataclass
@@ -260,29 +255,27 @@ def integrate_hill(
 ) -> PathSolution:
     """Integrate the fundamental pair along a polyline starting at the base.
 
-    The Wronskian (a first integral) is monitored at every accepted step;
-    the maximum deviation from 1/2 is reported as ``wronskian_drift``.
+    Every accepted Taylor step is recorded as a sample.  The Wronskian (a
+    first integral) is monitored there; the maximum deviation from 1/2 is
+    reported as ``wronskian_drift``.
     """
     path = [complex(p) for p in path]
     if abs(path[0] - sys.base) > 1e-12 * max(1.0, abs(sys.base)):
         raise ValueError("path must start at the system base point")
     sol = PathSolution(rho=sys.rho, path=path)
-    state = sys.state_at_base.copy()
-    drift = abs(_wronskian(state) - 0.5)
 
     def observe(z, y):
-        nonlocal drift
-        drift = max(drift, abs(complex(_wronskian(y)) - 0.5))
-        sol.samples.append((complex(z), complex(y[0, 0]), complex(y[0, 1]), complex(y[1, 0]), complex(y[1, 1])))
+        w1, w2, w1p, w2p = (complex(v) for v in y[:, 0])
+        sol.wronskian_drift = max(sol.wronskian_drift, abs(w1 * w2p - w2 * w1p - 0.5))
+        sol.samples.append((complex(z[0]), w1, w2, w1p, w2p))
 
-    observe(sys.base, state)
-    fun = _hill_rhs(sys.rho)
+    y = sys.state_at_base.reshape(4, 1)
+    observe([sys.base], y)
     for a, b in zip(path[:-1], path[1:]):
         probe = sys.rho.eval(np.linspace(0.0, 1.0, 33) * (b - a) + a)
         if not np.all(np.isfinite(probe)):
             raise PoleOnPath(f"rho has a pole on the segment {a} -> {b}")
-        state = _integrate_ode_segment(fun, state, a, b, rtol, atol, observer=observe)
-    sol.wronskian_drift = float(drift)
+        y = _advance(sys.rho, [a], b - a, y, rtol, atol, observe)
     return sol
 
 
@@ -385,23 +378,13 @@ def reconstruct_weierstrass(sol: PathSolution, strict: bool = False) -> list[Rec
 def reconstructed_data_jets(state: np.ndarray, rho: AnalyticExpr, z: complex, order: int = 4):
     """Jets of the reconstructed (G, h) at a point from the state there.
 
-    Higher Taylor coefficients of w1, w2 follow from the equation itself:
-    c_{k+2} = -(rho w)_k / (4 (k+1)(k+2)).  Returns (jet of G to order 3,
+    Higher Taylor coefficients of w1, w2 follow from the equation itself
+    (the recurrence of :func:`_hill_series`).  Returns (jet of G to order 3,
     jet of h to order 2) ready for the entropy-coefficient formula.
     """
     state = np.asarray(state, dtype=np.complex128)
-    jr = eval_jet(rho, complex(z), min(order, 8))
-    r = jr.coeffs
-    cols = []
-    for col in range(2):
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = state[0, col]
-        c[1] = state[1, col]
-        for k in range(order - 1):
-            conv = sum(r[j] * c[k - j] for j in range(min(k, jr.order) + 1))
-            c[k + 2] = -conv / (4.0 * (k + 1) * (k + 2))
-        cols.append(Jet(complex(z), c))
-    jw1, jw2 = cols
+    c = _hill_series(eval_jet(rho, complex(z), order - 2).coeffs, state[0], state[1], order)
+    jw1, jw2 = Jet(complex(z), c[:, 0]), Jet(complex(z), c[:, 1])
     jG = jet_div(jw2, jw1)
     jh = -2.0 * jet_mul(jw1, jw2)
     return jG.truncated(min(3, jG.order)), jh.truncated(min(2, jh.order))
@@ -419,85 +402,33 @@ def solve_on_grid(
     atol: float = DEFAULT_ATOL,
 ):
     """Fundamental pair (and optional Weierstrass position integrals) on a
-    full grid by marching: down the left edge, then all rows in lockstep.
+    full grid by Taylor steps: to the grid corner, up the left edge, then
+    along x with all rows in lockstep (one jet of rho per column and step).
 
     Returns a dict of (ny, nx) complex arrays: w1, w2, w1p, w2p and, with
     positions, x1, x2, x3 (real parts of the spinor Weierstrass integrals,
     anchored at the grid corner), plus the max Wronskian drift observed.
     """
     ny, nx = grid.ny, grid.nx
-    corner = grid.xs[0] + 1j * grid.ys[0]
-    ncomp = 7 if with_positions else 4
-
-    def fun_flat(z, y):
-        # flat state (w1, w2, w1', w2'[, I1, I2, I3]); trailing batch axes ok
-        r = sys.rho.eval(z)
-        out = np.empty_like(y)
-        out[0] = y[2]
-        out[1] = y[3]
-        out[2] = -0.25 * r * y[0]
-        out[3] = -0.25 * r * y[1]
-        if ncomp == 7:
-            w1, w2 = y[0], y[1]
-            out[4] = w2**2 - w1**2
-            out[5] = -1j * (w1**2 + w2**2)
-            out[6] = -2.0 * w1 * w2
-        return out
-
-    # bring the base state to the corner, then up the left edge with the
-    # position integrals (anchored 0 at the corner) accumulating along
-    state = np.zeros(ncomp, dtype=np.complex128)
-    s0 = sys.state_at_base if corner == sys.base else _integrate_ode_segment(
-        _hill_rhs(sys.rho), sys.state_at_base, sys.base, corner, rtol, atol
-    )
-    state[0], state[1], state[2], state[3] = s0[0, 0], s0[0, 1], s0[1, 0], s0[1, 1]
-    edge = np.empty((ny, ncomp), dtype=np.complex128)
-    edge[0] = state
+    x0 = grid.xs[0]
+    # rows (w1, w2, w1', w2'[, I1, I2, I3]); the integrals start at 0 at the corner
+    y = np.zeros((7 if with_positions else 4, 1), dtype=np.complex128)
+    y[:4] = _advance(sys.rho, [sys.base], x0 + 1j * grid.ys[0] - sys.base, sys.state_at_base.reshape(4, 1), rtol, atol)
+    fields = np.empty((len(y), ny, nx), dtype=np.complex128)
+    fields[:, 0, 0] = y[:, 0]
     for j in range(1, ny):
-        state = _integrate_ode_segment(
-            fun_flat, state, grid.xs[0] + 1j * grid.ys[j - 1], grid.xs[0] + 1j * grid.ys[j], rtol, atol
-        )
-        edge[j] = state
-    rows = edge.copy()
-
-    y_offsets = 1j * grid.ys
-
-    def fun_rows(x, y):
-        # x is the shared real abscissa; row j lives at x + i y_j
-        r = sys.rho.eval(x + y_offsets)
-        out = np.empty_like(y)
-        out[0] = y[2]
-        out[1] = y[3]
-        out[2] = -0.25 * r * y[0]
-        out[3] = -0.25 * r * y[1]
-        if ncomp == 7:
-            w1, w2 = y[0], y[1]
-            out[4] = w2**2 - w1**2
-            out[5] = -1j * (w1**2 + w2**2)
-            out[6] = -2.0 * w1 * w2
-        return out
-
-    fields = np.empty((ny, nx, ncomp), dtype=np.complex128)
-    fields[:, 0, :] = rows
-    cols = rows.T.copy()  # (ncomp, ny): all rows march along x in lockstep
+        y = _advance(sys.rho, [x0 + 1j * grid.ys[j - 1]], 1j * (grid.ys[j] - grid.ys[j - 1]), y, rtol, atol)
+        fields[:, j, 0] = y[:, 0]
+    y = fields[:, :, 0]
     drift = 0.0
     for i in range(1, nx):
-        cols = _integrate_ode_segment(fun_rows, cols, grid.xs[i - 1], grid.xs[i], rtol, atol)
-        fields[:, i, :] = cols.T
-        w = cols[0] * cols[3] - cols[1] * cols[2]
-        drift = max(drift, float(np.max(np.abs(w - 0.5))))
+        y = _advance(sys.rho, grid.xs[i - 1] + 1j * grid.ys, grid.xs[i] - grid.xs[i - 1], y, rtol, atol)
+        fields[:, :, i] = y
+        drift = max(drift, float(np.max(np.abs(y[0] * y[3] - y[1] * y[2] - 0.5))))
 
-    out = {
-        "w1": fields[:, :, 0],
-        "w2": fields[:, :, 1],
-        "w1p": fields[:, :, 2],
-        "w2p": fields[:, :, 3],
-        "wronskian_drift": drift,
-    }
+    out = {"w1": fields[0], "w2": fields[1], "w1p": fields[2], "w2p": fields[3], "wronskian_drift": drift}
     if with_positions:
-        out["x1"] = np.real(fields[:, :, 4])
-        out["x2"] = np.real(fields[:, :, 5])
-        out["x3"] = np.real(fields[:, :, 6])
+        out["x1"], out["x2"], out["x3"] = np.real(fields[4:])
     return out
 
 
@@ -516,17 +447,7 @@ def liouville_residual(u: ScalarField) -> LiouvilleResidual:
     2-node boundary ring.  Expected O(delta^2) on exact solutions.
     """
     grid = u.grid
-    if grid.nx < 5 or grid.ny < 5:
-        raise GridTooCoarse("need at least 5 nodes per axis")
-    v = u.values
-    lap = np.full_like(v, np.nan)
-    lap[1:-1, 1:-1] = (
-        (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / grid.hx**2
-        + (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / grid.hy**2
-    )
-    resid = np.abs(lap - np.exp(-2.0 * v))
-    mask = np.isfinite(resid)
-    mask[:2, :] = mask[-2:, :] = False
-    mask[:, :2] = mask[:, -2:] = False
-    vals = resid[mask]
-    return LiouvilleResidual(ScalarField(grid, resid), float(vals.max()), float(vals.mean()))
+    lap = laplacian_conformal(u, ConformalMetricField(grid, np.ones(grid.shape)))
+    resid = np.abs(lap.values - np.exp(-2.0 * u.values))
+    mx, mean = interior_stats(resid, grid)
+    return LiouvilleResidual(ScalarField(grid, resid), mx, mean)

@@ -35,8 +35,16 @@ from .geomnum import (
     laplacian_conformal,
     tracefree_hessian_conformal,
 )
-from .hill import HillSystem, canonical_state_mu_nu, integrate_hill, reconstructed_data_jets
-from .jets import AnalyticExpr
+from .hill import (
+    HillSystem,
+    canonical_state_mu_nu,
+    canonical_state_phi_alpha,
+    integrate_hill,
+    liouville_residual,
+    reconstructed_data_jets,
+    solve_on_grid,
+)
+from .jets import AnalyticExpr, parse_expression
 from .models import deformed_helicoid
 from .surface import SurfaceMesh, period_vector
 from .weierstrass import SurfaceFields, WeierstrassData, entropy_field, metric_fields, rho_from_jets
@@ -58,6 +66,7 @@ __all__ = [
     "pole_probe",
     "weighted_entropy_norm",
     "soliton_check",
+    "liouville_check",
     "curvature_decay_profile",
     "ht_period_check",
     "hill_round_trip",
@@ -260,14 +269,17 @@ def entropy_functional(K_fn, lambda_sq_fn, domain: RectDomain, tol: float = 1e-8
     ``K_fn`` and ``lambda_sq_fn`` are callables over complex sample arrays;
     K must be positive throughout (checked on a probe grid).
     """
-    probe = domain.grid(17, 17).zs
-    Kp = np.asarray(K_fn(probe), dtype=np.float64)
+    return _entropy_integral(lambda zs: (K_fn(zs), lambda_sq_fn(zs)), domain, tol)
+
+
+def _entropy_integral(fields_fn, domain: RectDomain, tol: float) -> float:
+    """E[g] from one callable returning (K, lambda^2) on a sample array."""
+    Kp = np.asarray(fields_fn(domain.grid(17, 17).zs)[0], dtype=np.float64)
     if not np.all(Kp > 0):
         raise NonpositiveCurvature("entropy functional needs K > 0 on the domain")
 
     def density(zs):
-        K = np.asarray(K_fn(zs), dtype=np.float64)
-        lam = np.asarray(lambda_sq_fn(zs), dtype=np.float64)
+        K, lam = (np.asarray(v, dtype=np.float64) for v in fields_fn(zs))
         with np.errstate(all="ignore"):
             return np.where(K > 0, K * np.log(K), 0.0) * lam
 
@@ -275,16 +287,15 @@ def entropy_functional(K_fn, lambda_sq_fn, domain: RectDomain, tol: float = 1e-8
 
 
 def entropy_functional_ecritical(data: WeierstrassData, domain: RectDomain, tol: float = 1e-8) -> float:
-    """E[ghat] for the E-critical metric of Weierstrass data."""
+    """E[ghat] for the E-critical metric of Weierstrass data (one metric
+    evaluation per sample array)."""
 
-    def K_fn(zs):
-        return 0.5 * np.abs(metric_fields(data, zs)["K"]) ** 0.25
-
-    def lam_fn(zs):
+    def fields(zs):
         mf = metric_fields(data, zs)
-        return np.abs(mf["K"]) ** 0.75 * mf["lambda_sq"]
+        absK = np.abs(mf["K"])
+        return 0.5 * absK**0.25, absK**0.75 * mf["lambda_sq"]
 
-    return entropy_functional(K_fn, lam_fn, domain, tol=tol)
+    return _entropy_integral(fields, domain, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +412,50 @@ def soliton_check(data: WeierstrassData, grid: UniformGrid) -> Report:
         },
         tol,
         hess_max <= tol and lap_resid <= tol,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Liouville's equation through Hill's equation
+# ---------------------------------------------------------------------------
+
+# The constant entropy coefficient of each catalog surface (P = (rho/2) dz^2).
+_LIOUVILLE_RHO = {
+    "catenoid": "-1",
+    "helicoid": "-1i",
+    "enneper": "0",
+    "deformed-catenoid": "-1",
+    "deformed-helicoid": "-1i",
+}
+
+
+def liouville_check(surface: str, grid: UniformGrid) -> Report:
+    """Liouville's equation for u = log(|w1|^2 + |w2|^2), with (w1, w2) a
+    Hill pair for the constant rho of the catalog ``surface``, solved on the
+    grid.  A surface outside the catalog raises ValueError."""
+    if surface not in _LIOUVILLE_RHO:
+        raise ValueError(f"the liouville check needs a catalog surface ({', '.join(_LIOUVILLE_RHO)}), not {surface!r}")
+    rho_text = _LIOUVILLE_RHO[surface]
+    rho = parse_expression(rho_text)
+    if rho_text == "0":
+        state = canonical_state_mu_nu(1.0)
+    else:
+        state = canonical_state_phi_alpha(0.0, complex(np.sqrt(-complex(rho.eval(0.0)))))
+    f = solve_on_grid(HillSystem(rho, 0.0, state), grid)
+    u = np.log(np.abs(f["w1"]) ** 2 + np.abs(f["w2"]) ** 2)
+    res = liouville_residual(ScalarField(grid, u))
+    delta = max(grid.hx, grid.hy)
+    tol = TOLERANCES["stencil_liouville"] * delta**2
+    return Report(
+        "liouville",
+        {"rho": rho_text, "delta": delta},
+        {
+            "max_residual": res.max_residual,
+            "mean_residual": res.mean_residual,
+            "wronskian_drift": f["wronskian_drift"],
+        },
+        tol,
+        res.max_residual <= tol,
     )
 
 

@@ -77,6 +77,11 @@ _UMBILIC_RTOL = 1e-9
 _CANCEL_RATIO = 1e5
 _CIRCLE_RADIUS = 2e-2
 _CIRCLE_POINTS = 16
+_THETA = 2.0 * np.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
+# mean(f e^{ik theta}) for k = 1 .. n/2 - 1: the modes e^{-ik theta} of f
+_NEGATIVE_MODES = np.exp(1j * np.outer(_THETA, np.arange(1, _CIRCLE_POINTS // 2))) / _CIRCLE_POINTS
+_ALIAS_RTOL = 1e-3
+_ROUNDING_RTOL = 1e-12
 
 
 @dataclass
@@ -192,6 +197,15 @@ def _derivatives(jG, jh):
     return c[0], c[1], 2.0 * c[2], 6.0 * c[3], d[0], d[1], 2.0 * d[2]
 
 
+def _rho_and_scale(jG, jh):
+    """rho and the largest magnitude of its eight terms, the scale of its
+    rounding error."""
+    with np.errstate(all="ignore"):
+        terms = _rho_terms(*_derivatives(jG, jh))
+        rho = np.asarray(sum(terms[1:], terms[0]), dtype=np.complex128)
+        return rho, np.max([np.abs(t) for t in terms], axis=0)
+
+
 def rho_from_jets(jG, jh) -> np.ndarray:
     """rho from a jet of G (order >= 3) and a jet of h (order >= 2)."""
     return np.asarray(rho_from_derivatives(*_derivatives(jG, jh)), dtype=np.complex128)
@@ -203,18 +217,23 @@ def _circle_means(data: WeierstrassData, centers: np.ndarray) -> np.ndarray:
     Returns shape (5, len(centers)).  The discrete mean-value property has
     aliasing error O((radius/R)^n), R the distance to the nearest
     singularity.  A mean is NaN where the circle values are not finite or
-    scatter far more than continuity allows (a genuine pole inside).
+    carry a negative Fourier mode e^{-ik theta}, 0 < k < n/2, above
+    _ALIAS_RTOL of their largest magnitude: a function holomorphic on the
+    disk has none but aliases of order (radius/R)^(n/2+1), while a pole in
+    or near the circle puts a sizeable share of the values there.  Rounding
+    of rho's eight terms is allowed for, so rho = 0 (Enneper) keeps its mean.
     """
-    theta = 2.0 * np.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
-    pts = centers[:, None] + _CIRCLE_RADIUS * np.exp(1j * theta)
+    pts = centers[:, None] + _CIRCLE_RADIUS * np.exp(1j * _THETA)
     jG, jh = _jets(data, pts)
     q, r, p = _parts(jG, jh)
-    rho = rho_from_jets(jG, jh)
+    rho, largest = _rho_and_scale(jG, jh)
     with np.errstate(all="ignore"):
         vals = np.stack([q, r, p, rho, q**2 * rho])
         mean = vals.mean(axis=-1)
-        spread = np.abs(vals - mean[..., None]).max(axis=-1)
-    ok = np.isfinite(vals).all(axis=-1) & (spread <= 10.0 * (1.0 + np.abs(mean)))
+        negative = np.abs(vals @ _NEGATIVE_MODES).max(axis=-1)
+        bound = _ALIAS_RTOL * np.abs(vals).max(axis=-1)
+        bound[3:] += _ROUNDING_RTOL * np.stack([largest, np.abs(q) ** 2 * largest]).max(axis=-1)
+        ok = np.isfinite(vals).all(axis=-1) & (negative <= bound)
     return np.where(ok, mean, np.nan)
 
 
@@ -244,10 +263,8 @@ class SurfaceFields:
         pass.  Circled are the singular nodes, those where the eight terms of
         rho cancel, and the umbilics, where |T-hat| extends continuously."""
         q, r, p = self._direct
+        rho, largest = _rho_and_scale(self._jG, self._jh)
         with np.errstate(all="ignore"):
-            terms = _rho_terms(*_derivatives(self._jG, self._jh))
-            rho = np.asarray(sum(terms[1:], terms[0]), dtype=np.complex128)
-            largest = np.max([np.abs(t) for t in terms], axis=0)
             curvature = 4.0 * np.abs(q) ** 2 / (np.abs(r) + np.abs(p)) ** 2  # |K| lambda^2
             cancels = ~(largest <= _CANCEL_RATIO * np.maximum(np.abs(rho), curvature))
         circled = self._singular | cancels | self._umbilic

@@ -117,6 +117,12 @@ def test_verify_liouville_and_ht_period(tmp_path):
     assert doc["reports"][0]["stats"]["matched"] == "parameterization"
 
 
+def test_ht_period_measures_the_clamped_t(tmp_path):
+    code, doc = _run(tmp_path, "verify", "--surface", "deformed-helicoid", "--t", "0.9999", "--checks", "ht-period")
+    assert code == 0
+    assert doc["reports"][0]["params"]["t"] == doc["params"]["t_clamped"] == pytest.approx(0.999)
+
+
 def test_norm_command_catenoid(tmp_path):
     code, doc = _run(tmp_path, "norm", "--surface", "catenoid", "--x-cut", "20")
     assert code == 0
@@ -176,6 +182,9 @@ def test_numeric_failure_exit_code(tmp_path):
         ("verify", "--surface", "catenoid", "--delta", "nan"),
         ("norm", "--surface", "catenoid", "--tol", "0"),
         ("norm", "--surface", "catenoid", "--tol", "inf"),
+        # a check must test the surface it is given
+        ("verify", "--G", "-exp(z)", "--h", "1", "--domain", "-1,1,-1,1", "--checks", "liouville"),
+        ("verify", "--surface", "catenoid", "--t", "0.5", "--checks", "ht-period"),
     ],
 )
 def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, argv):

@@ -69,6 +69,66 @@ def test_wronskian_invariant_enforced_on_construction():
         HillSystem(const(0.0), 0.0, [[1.0, 0.0], [0.0, 1.0]])
 
 
+def _airy_state(z):
+    # rho = z: w'' = -(z/4) w is Airy's equation in a z with a^3 = -1/4;
+    # (Ai(a z), pi/(2a) Bi(a z)) has Wronskian a W(Ai, Bi) pi/(2a) = 1/2
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    a = -mp.mpf(4) ** (-mp.mpf(1) / 3)
+    k = mp.pi / (2 * a)
+    x = a * mp.mpc(z)
+    vals = [[mp.airyai(x), k * mp.airybi(x)], [a * mp.airyai(x, 1), k * a * mp.airybi(x, 1)]]
+    return np.array([[complex(v) for v in row] for row in vals])
+
+
+def test_airy_along_a_long_complex_polyline_matches_mpmath():
+    path = [0.0, 2.0 + 1.0j, 3.0 - 2.0j, -1.0 - 3.0j, -4.0 + 1.0j, 0.5 + 4.0j]
+    sol = integrate_hill(HillSystem(Z, 0.0, _airy_state(0.0)), path)
+    for z, st in zip(path[1:], sol.states_at(path[1:])):
+        ref = _airy_state(z)
+        assert np.abs(st - ref).max() <= 1e-9 * np.abs(ref).max(), z
+    assert sol.wronskian_drift <= 1e-10
+
+
+def _bessel_state(s):
+    # rho = 1/s (s = z - pole): w = sqrt(s) J1(sqrt(s)) and
+    # (pi/2) sqrt(s) Y1(sqrt(s)), with w' = J0/2 and (pi/4) Y0; Wronskian 1/2
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    r = mp.sqrt(mp.mpc(s))
+    vals = [
+        [r * mp.besselj(1, r), mp.pi / 2 * r * mp.bessely(1, r)],
+        [mp.besselj(0, r) / 2, mp.pi / 4 * mp.bessely(0, r)],
+    ]
+    return np.array([[complex(v) for v in row] for row in vals])
+
+
+def test_path_passing_near_a_pole_splits_steps_and_stays_accurate():
+    # the segment passes 0.05 below the simple pole of rho; s = z - pole stays
+    # in the lower half plane, off the branch cuts of the reference
+    pole = 0.05j
+    sys = HillSystem(const(1.0) / (Z - const(pole)), -1.0, _bessel_state(-1.0 - pole))
+    sol = integrate_hill(sys, [-1.0, 1.0])
+    assert len(sol.samples) > 10  # one step of length 2 cannot pass the pole
+    assert sol.wronskian_drift <= 1e-10
+    assert np.abs(sol.end_state - _bessel_state(1.0 - pole)).max() <= 1e-9
+
+
+def test_grid_nodes_match_path_integration_along_the_same_edges():
+    grid = RectDomain(-1.0, 1.0, -0.5, 1.0).grid(11, 9)
+    sys = HillSystem(Z - 0.5j * Z**2, 0.3 + 0.2j, canonical_state_mu_nu(0.8, 0.1j, base=0.3 + 0.2j))
+    f = solve_on_grid(sys, grid)
+    for j in (0, 4, 8):
+        edge = [grid.xs[0] + 1j * y for y in grid.ys[: j + 1]]
+        row = [x + 1j * grid.ys[j] for x in grid.xs]
+        sol = integrate_hill(sys, [sys.base] + edge + row[1:])
+        for i, st in enumerate(sol.states_at(row)):
+            got = np.array([[f["w1"][j, i], f["w2"][j, i]], [f["w1p"][j, i], f["w2p"][j, i]]])
+            assert np.abs(got - st).max() <= 1e-12 * max(1.0, np.abs(st).max())
+
+
 # --- SL(2,C) machinery -------------------------------------------------------
 
 def _random_su2(rng):

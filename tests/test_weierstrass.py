@@ -12,6 +12,7 @@ from entropydiff.weierstrass import (
     entropy_field,
     entropy_form_norms,
     hopf_coefficient,
+    hopf_field,
     metric_fields,
     metric_sample,
     norm_fields,
@@ -103,6 +104,16 @@ def test_entropy_field_keeps_direct_values_near_a_branch_point():
     ring = (np.abs(zs) > 0.02) & (np.abs(zs) < 0.05)
     rho = entropy_field(data, zs[ring])
     np.testing.assert_allclose(rho, 5.0 / zs[ring] ** 2, rtol=1e-12)
+
+
+def test_circle_mean_rejects_a_small_pole_inside_its_circle():
+    # G = 1 + z^2, h = 0.01: q = -0.02 z/(1 + z^2) has a genuine pole of
+    # residue -0.01 at z = i.  Its circle values are only |q| ~ 0.5, so a
+    # bound on their spread against an absolute scale took the mean 0.005i.
+    data = WeierstrassData(1 + Z**2, const(0.01), RectDomain.square(2.0))
+    z = np.array([1j])
+    assert np.isnan(hopf_field(data, z)).all()
+    assert np.isnan(metric_fields(data, z)["K"]).all()
 
 
 def test_schwarzian_values_and_moebius_invariance():
