@@ -9,8 +9,8 @@ Surfaces come either from the catalog (--surface NAME [--t T | --mu MU])
 or from expression strings (--G EXPR --h EXPR --domain x0,x1,y0,y1).
 Reports are JSON (schema 1) with floats printed to 17 significant digits
 and fixed key order, so identical configs produce byte-identical files.
-Exit codes: 0 success, 1 bad input, 2 numeric failure.  The env var
-ENTROPYDIFF_THREADS caps how many verify checks run concurrently.
+Exit codes: 0 success, 1 bad input (a grid over MAX_GRID_NODES too), 2
+numeric failure.  The env var ENTROPYDIFF_THREADS caps concurrent checks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import EntropyDiffError
+from .errors import DegeneratePoint, EntropyDiffError
 from .geomnum import RectDomain
 from .hill import (
     HOPF_SIGN_CONVENTION,
@@ -51,22 +51,17 @@ from .weierstrass import SurfaceFields, WeierstrassData
 
 SCHEMA_VERSION = 1
 T_CLAMP = 1e-3
+MAX_GRID_NODES = 1 << 20  # 1024x1024; analyze at 512x512 peaks near 250 MB
 
 
 # ---------------------------------------------------------------------------
 # Deterministic JSON
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "null"
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
-
 def dumps_json(obj, indent: int = 0) -> str:
-    """JSON with 17-significant-digit floats and insertion-ordered keys."""
+    """JSON with 17-significant-digit floats and insertion-ordered keys; a
+    list over 100 characters prints one element per line, and a 1-D ndarray
+    is formatted by one ``%`` call, its non-finite elements as null."""
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -75,12 +70,16 @@ def dumps_json(obj, indent: int = 0) -> str:
             f'{pad}  "{k}": {dumps_json(v, indent + 2)}' for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = [dumps_json(v, indent) for v in obj]
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if isinstance(obj, np.ndarray) and obj.ndim == 1:
+            finite = np.isfinite(obj)
+            seq = (", ".join(np.where(finite, "%.17g", "null").tolist()) % tuple(obj[finite].tolist())).split(", ")
+        else:
+            seq = [dumps_json(v, indent) for v in obj]
         flat = ", ".join(seq)
         if len(flat) <= 100:
             return "[" + flat + "]"
-        return "[\n" + ",\n".join(pad + "  " + s for s in seq) + "\n" + pad + "]"
+        return "[\n" + pad + "  " + (",\n" + pad + "  ").join(seq) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -88,7 +87,9 @@ def dumps_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        if math.isinf(obj):
+            return '"inf"' if obj > 0 else '"-inf"'
+        return "null" if math.isnan(obj) else format(float(obj), ".17g")
     if isinstance(obj, complex):
         return dumps_json({"re": obj.real, "im": obj.imag}, indent)
     if isinstance(obj, str):
@@ -103,10 +104,6 @@ def _emit(doc: dict, out_path: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _float_grid(arr: np.ndarray) -> list:
-    return [[None if not np.isfinite(v) else float(v) for v in row] for row in np.asarray(arr, dtype=np.float64)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +127,19 @@ def _parse_grid(text: str):
         raise BadInput(f"bad grid spec {text!r}; expected NXxNY") from exc
     if nx < 8 or ny < 8:
         raise BadInput("grid resolution must be at least 8x8")
+    _check_nodes(nx, ny)
     return nx, ny
+
+
+def _check_nodes(nx: float, ny: float):
+    if not nx * ny <= MAX_GRID_NODES:
+        raise BadInput(f"a {nx:.0f}x{ny:.0f} grid has {nx * ny:.0f} nodes, over the limit of {MAX_GRID_NODES}")
 
 
 def _parse_domain(text: str) -> RectDomain:
     try:
         x0, x1, y0, y1 = (float(p) for p in text.split(","))
         return RectDomain(x0, x1, y0, y1)
-    except BadInput:
-        raise
     except Exception as exc:
         raise BadInput(f"bad domain {text!r}; expected x0,x1,y0,y1") from exc
 
@@ -218,6 +219,8 @@ def cmd_analyze(args) -> dict:
     T, That = f.norms
     K = mf["K"]
     finiteK = K[np.isfinite(K)]
+    if not finiteK.size:
+        raise DegeneratePoint("the curvature K is not finite at any grid node")
     finite_rho = np.abs(rho[np.isfinite(rho)])
     return {
         "schema": SCHEMA_VERSION,
@@ -232,14 +235,14 @@ def cmd_analyze(args) -> dict:
             "max_That_norm": float(np.nanmax(np.where(np.isfinite(That), That, np.nan))),
         },
         "fields": {
-            "lambda_sq": _float_grid(mf["lambda_sq"]),
-            "K": _float_grid(K),
-            "q_re": _float_grid(np.real(q)),
-            "q_im": _float_grid(np.imag(q)),
-            "rho_re": _float_grid(np.real(rho)),
-            "rho_im": _float_grid(np.imag(rho)),
-            "T_norm": _float_grid(T),
-            "That_norm": _float_grid(That),
+            "lambda_sq": mf["lambda_sq"],
+            "K": K,
+            "q_re": q.real,
+            "q_im": q.imag,
+            "rho_re": rho.real,
+            "rho_im": rho.imag,
+            "T_norm": T,
+            "That_norm": That,
         },
     }
 
@@ -362,9 +365,10 @@ def cmd_verify(args) -> dict:
     patch = _VERIFY_DEFAULT_PATCH.get(args.surface or "", RectDomain(-1.0, 1.0, -1.0, 1.0))
     if args.domain is not None:
         patch = _parse_domain(args.domain)
-    n = max(8, int(round((patch.x1 - patch.x0) / delta)) + 1)
-    ny = max(8, int(round((patch.y1 - patch.y0) / delta)) + 1)
-    grid = patch.grid(n, ny)
+    # float counts (rint ties to even, like round()) so an infinite side reaches the check
+    n, ny = (max(8.0, np.rint(s / delta) + 1.0) for s in (patch.x1 - patch.x0, patch.y1 - patch.y0))
+    _check_nodes(n, ny)
+    grid = patch.grid(int(n), int(ny))
 
     threads = int(os.environ.get("ENTROPYDIFF_THREADS", "1") or "1")
     if threads > 1 and len(checks) > 1:

@@ -3,7 +3,7 @@
 Immersion points by adaptive line quadrature of the three Weierstrass
 1-forms, period vectors over closed cycles, and full mesh sampling with
 Gauss-map normals, curvature and entropy-form norms per vertex.  Meshes
-export to ASCII OBJ (v/vn/f) with a JSON sidecar of per-vertex scalars.
+export to ASCII OBJ (v/vn/f, ``%.9g``) with a compact JSON vertex sidecar.
 """
 
 from __future__ import annotations
@@ -241,30 +241,26 @@ def sample_mesh(
 
 
 def write_obj(mesh: SurfaceMesh, path: str):
-    """ASCII OBJ with positions, unit normals, and triangulated faces."""
+    """ASCII OBJ with positions and unit normals (``%.9g``) and triangulated
+    faces, one ``%`` call per 8192 lines so the text in memory stays small."""
     ny, nx = mesh.zs.shape
+    blocks = (
+        ("v %.9g %.9g %.9g\n", mesh.positions.reshape(-1, 3)),
+        ("vn %.9g %.9g %.9g\n", mesh.normals.reshape(-1, 3)),
+        ("f %d//%d %d//%d %d//%d\n", np.repeat(mesh.faces + 1, 2, axis=1)),
+    )
     with open(path, "w") as fh:
         fh.write(f"# entropydiff surface mesh {nx}x{ny}\n")
-        pos = mesh.positions.reshape(-1, 3)
-        nor = mesh.normals.reshape(-1, 3)
-        for p in pos:
-            fh.write("v %.9g %.9g %.9g\n" % (p[0], p[1], p[2]))
-        for n in nor:
-            fh.write("vn %.9g %.9g %.9g\n" % (n[0], n[1], n[2]))
-        for a, b, c in mesh.faces + 1:
-            fh.write(f"f {a}//{a} {b}//{b} {c}//{c}\n")
+        for line, rows in blocks:
+            for block in (rows[i : i + 8192] for i in range(0, len(rows), 8192)):
+                fh.write(line * len(block) % tuple(block.reshape(-1).tolist()))
 
 
 def write_sidecar(mesh: SurfaceMesh, path: str):
-    """JSON sidecar with per-vertex scalars in row-major vertex order."""
-    doc = {
-        "schema": 1,
-        "nx": mesh.zs.shape[1],
-        "ny": mesh.zs.shape[0],
-        "K": [float(v) for v in mesh.K.reshape(-1)],
-        "T_norm": [float(v) for v in mesh.T_norm.reshape(-1)],
-        "That_norm": [float(v) for v in mesh.That_norm.reshape(-1)],
-    }
+    """JSON sidecar with per-vertex scalars in row-major vertex order: the
+    bytes of ``json.dump``, one array through the C encoder at a time."""
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write('{"schema": 1, "nx": %d, "ny": %d' % mesh.zs.shape[::-1])
+        for key in ("K", "T_norm", "That_norm"):
+            fh.write(f', "{key}": ' + json.dumps(getattr(mesh, key).reshape(-1).tolist()))
+        fh.write("}\n")

@@ -2,10 +2,12 @@
 
 import json
 import math
+import os
 
 import pytest
 
-from entropydiff.cli import dumps_json, main
+from entropydiff.cli import MAX_GRID_NODES, dumps_json, main
+from entropydiff.geomnum import RectDomain
 
 
 def _run(tmp_path, *argv):
@@ -185,12 +187,46 @@ def test_numeric_failure_exit_code(tmp_path):
         # a check must test the surface it is given
         ("verify", "--G", "-exp(z)", "--h", "1", "--domain", "-1,1,-1,1", "--checks", "liouville"),
         ("verify", "--surface", "catenoid", "--t", "0.5", "--checks", "ht-period"),
+        # grids over MAX_GRID_NODES, refused before they are allocated
+        ("analyze", "--surface", "catenoid", "--grid", "100000x100000"),
+        ("mesh", "--surface", "catenoid", "--grid", "100000x100000", "--obj", os.devnull),
+        ("reconstruct", "--rho", "1", "--grid", "2000x2000", "--obj", os.devnull),
+        ("verify", "--surface", "catenoid", "--delta", "1e-6"),
+        ("verify", "--surface", "catenoid", "--delta", "5e-324"),
+        ("verify", "--surface", "catenoid", "--delta", "0.01", "--domain", "-inf,1,-1,1"),
     ],
 )
-def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, argv):
+def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, monkeypatch, argv):
+    grid = RectDomain.grid
+
+    def guarded_grid(self, nx, ny):
+        assert nx * ny <= MAX_GRID_NODES, f"a {nx}x{ny} grid was allocated"
+        return grid(self, nx, ny)
+
+    monkeypatch.setattr(RectDomain, "grid", guarded_grid)
     code, doc = _run(tmp_path, *argv)
     assert code == 1
     assert doc["error"]["code"] == "bad-input"
+
+
+def test_node_limit_admits_a_grid_at_the_limit(tmp_path, monkeypatch):
+    # nothing past the parse is run: the grid itself is replaced
+    def stop(self, nx, ny):
+        raise RuntimeError(f"grid {nx}x{ny}")
+
+    monkeypatch.setattr(RectDomain, "grid", stop)
+    with pytest.raises(RuntimeError, match="grid 1024x1024"):
+        main(["analyze", "--surface", "catenoid", "--grid", "1024x1024"])
+    with pytest.raises(RuntimeError, match="grid 1024x1024"):
+        main(["verify", "--surface", "catenoid", "--delta", str(2 / 1023)])
+    assert _run(tmp_path, "analyze", "--surface", "catenoid", "--grid", "1024x1025")[0] == 1
+
+
+def test_analyze_with_no_finite_curvature_is_a_numeric_failure(tmp_path):
+    # h = 0: the metric vanishes, so K is finite at no node
+    code, doc = _run(tmp_path, "analyze", "--G", "z", "--h", "0", "--domain", "-1,1,-1,1")
+    assert code == 2
+    assert doc["error"]["code"] == "degenerate-point"
 
 
 def test_cli_import_leaves_scipy_out():

@@ -1,0 +1,204 @@
+"""The row-at-a-time writers against the per-element writers they replaced.
+
+The oracles below are the per-element ``dumps_json``, ``_float_grid``,
+``write_obj`` and ``write_sidecar`` that formatted one Python value per
+call.  The writers must keep their bytes exactly.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from entropydiff.cli import build_parser, cmd_analyze, dumps_json, main
+from entropydiff.geomnum import RectDomain
+from entropydiff.models import get_model
+from entropydiff.surface import SurfaceMesh, grid_faces, sample_mesh, write_obj, write_sidecar
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-element writers
+# ---------------------------------------------------------------------------
+
+
+def _oracle_fmt_float(x: float) -> str:
+    if math.isnan(x):
+        return "null"
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return format(x, ".17g")
+
+
+def oracle_dumps_json(obj, indent: int = 0) -> str:
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(f'{pad}  "{k}": {oracle_dumps_json(v, indent + 2)}' for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = [oracle_dumps_json(v, indent) for v in obj]
+        flat = ", ".join(seq)
+        if len(flat) <= 100:
+            return "[" + flat + "]"
+        return "[\n" + ",\n".join(pad + "  " + s for s in seq) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _oracle_fmt_float(float(obj))
+    if isinstance(obj, complex):
+        return oracle_dumps_json({"re": obj.real, "im": obj.imag}, indent)
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def oracle_float_grid(arr) -> list:
+    return [[None if not np.isfinite(v) else float(v) for v in row] for row in np.asarray(arr, dtype=np.float64)]
+
+
+def oracle_write_obj(mesh, path):
+    ny, nx = mesh.zs.shape
+    with open(path, "w") as fh:
+        fh.write(f"# entropydiff surface mesh {nx}x{ny}\n")
+        for p in mesh.positions.reshape(-1, 3):
+            fh.write("v %.9g %.9g %.9g\n" % (p[0], p[1], p[2]))
+        for n in mesh.normals.reshape(-1, 3):
+            fh.write("vn %.9g %.9g %.9g\n" % (n[0], n[1], n[2]))
+        for a, b, c in mesh.faces + 1:
+            fh.write(f"f {a}//{a} {b}//{b} {c}//{c}\n")
+
+
+def oracle_write_sidecar(mesh, path):
+    doc = {
+        "schema": 1,
+        "nx": mesh.zs.shape[1],
+        "ny": mesh.zs.shape[0],
+        "K": [float(v) for v in mesh.K.reshape(-1)],
+        "T_norm": [float(v) for v in mesh.T_norm.reshape(-1)],
+        "That_norm": [float(v) for v in mesh.That_norm.reshape(-1)],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# Random arrays with the awkward values
+# ---------------------------------------------------------------------------
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.0, -3.0, 1e16, 1e300, 0.1]
+
+
+def _awkward(rng, shape) -> np.ndarray:
+    """Normals, uniform bit patterns, integral floats and the SPECIAL values."""
+    n = int(np.prod(shape))
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+    pool = np.stack(
+        [
+            rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n),
+            bits.view(np.float64),
+            np.round(rng.normal(size=n) * 100.0),
+            rng.choice(SPECIAL, n),
+        ]
+    )
+    return pool[rng.integers(0, 4, n), np.arange(n)].reshape(shape)
+
+
+def _rows_around_the_inline_limit():
+    # k ones joined by ", " take 3k - 2 characters; one "10" adds one
+    at_limit = np.ones(34)  # 100 characters: inline
+    over = at_limit.copy()
+    over[0] = 10.0  # 101 characters: one element per line
+    return [at_limit, over, np.full(8, np.nan), np.array([np.inf]), np.array([-0.0]), np.array([]), np.full(20, np.nan)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dumps_json_matches_the_per_element_oracle_on_grids(seed):
+    rng = np.random.default_rng(seed)
+    for shape in [(1, 1), (1, 7), (3, 1), (2, 4), (5, 9), (17, 6)]:
+        arr = _awkward(rng, shape)
+        doc = {"fields": {"a": arr, "b": arr[:, ::-1]}, "x": 1.5}
+        oracle = {"fields": {"a": oracle_float_grid(arr), "b": oracle_float_grid(arr[:, ::-1])}, "x": 1.5}
+        assert dumps_json(doc) == oracle_dumps_json(oracle)
+
+
+def test_dumps_json_matches_the_oracle_around_the_inline_limit():
+    rows = _rows_around_the_inline_limit()
+    for indent in (0, 2, 6):
+        for row in rows:
+            assert dumps_json(row, indent) == oracle_dumps_json(oracle_float_grid(row[None, :])[0], indent)
+            grid = np.stack([row, row]) if row.size else np.empty((2, 0))
+            assert dumps_json({"g": grid}, indent) == oracle_dumps_json({"g": oracle_float_grid(grid)}, indent)
+    assert "\n" not in dumps_json(rows[0]) and "\n" in dumps_json(rows[1])
+
+
+def test_dumps_json_scalars_keep_their_rule():
+    doc = {
+        "s": [np.inf, -np.inf, np.nan, -0.0, 5e-324, np.float64(0.1), 3, np.int64(4), True, None],
+        "z": 1.0 - 2.5j,
+        "name": 'a "b" \\ c',
+        "empty": {},
+    }
+    text = dumps_json(doc)
+    assert text == oracle_dumps_json(doc)
+    assert '"inf", "-inf", null' in text
+
+
+def _mesh(rng, ny, nx) -> SurfaceMesh:
+    domain = RectDomain(0.0, 1.0, 0.0, 1.0)
+    return SurfaceMesh(
+        grid=domain.grid(nx, ny),
+        zs=np.zeros((ny, nx), dtype=np.complex128),
+        positions=_awkward(rng, (ny, nx, 3)),
+        normals=_awkward(rng, (ny, nx, 3)),
+        K=_awkward(rng, (ny, nx)),
+        T_norm=_awkward(rng, (ny, nx)),
+        That_norm=_awkward(rng, (ny, nx)),
+        faces=grid_faces(ny, nx),
+    )
+
+
+@pytest.mark.parametrize("ny,nx", [(8, 8), (9, 13), (100, 100)])  # 100x100 spans several write chunks
+def test_mesh_writers_match_the_per_element_oracles(tmp_path, ny, nx):
+    mesh = _mesh(np.random.default_rng(ny * nx), ny, nx)
+    for new, old in [(write_obj, oracle_write_obj), (write_sidecar, oracle_write_sidecar)]:
+        new(mesh, tmp_path / "new")
+        old(mesh, tmp_path / "old")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# CLI documents against the oracle on the same document
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--surface", "catenoid", "--grid", "8x8"),
+        ("--surface", "deformed-catenoid", "--t", "0.4114", "--grid", "16x16"),
+        ("--G", "z", "--h", "1", "--domain=-1,1,-1,1", "--grid", "9x9"),  # nulls, inline rows
+    ],
+)
+def test_analyze_report_matches_the_oracle(tmp_path, argv):
+    out = tmp_path / "analyze.json"
+    assert main(["analyze", *argv, "--out", str(out)]) == 0
+    doc = cmd_analyze(build_parser().parse_args(["analyze", *argv]))
+    doc["fields"] = {name: oracle_float_grid(arr) for name, arr in doc["fields"].items()}
+    assert out.read_text() == oracle_dumps_json(doc) + "\n"
+
+
+def test_mesh_outputs_match_the_oracle(tmp_path):
+    obj, side = tmp_path / "m.obj", tmp_path / "m.json"
+    argv = ["mesh", "--surface", "deformed-catenoid", "--t", "0.4", "--grid", "16x16"]
+    assert main(argv + ["--obj", str(obj), "--sidecar", str(side), "--out", str(tmp_path / "doc.json")]) == 0
+    mesh = sample_mesh(get_model("deformed-catenoid", t=0.4).data, (16, 16))
+    oracle_write_obj(mesh, tmp_path / "o.obj")
+    oracle_write_sidecar(mesh, tmp_path / "o.json")
+    assert obj.read_bytes() == (tmp_path / "o.obj").read_bytes()
+    assert side.read_bytes() == (tmp_path / "o.json").read_bytes()
