@@ -139,9 +139,11 @@ def _check_nodes(nx: float, ny: float):
 def _parse_domain(text: str) -> RectDomain:
     try:
         x0, x1, y0, y1 = (float(p) for p in text.split(","))
+        if not all(map(math.isfinite, (x0, x1, y0, y1))):
+            raise ValueError("non-finite bound")
         return RectDomain(x0, x1, y0, y1)
     except Exception as exc:
-        raise BadInput(f"bad domain {text!r}; expected x0,x1,y0,y1") from exc
+        raise BadInput(f"bad domain {text!r}; expected finite x0,x1,y0,y1") from exc
 
 
 def _positive(name: str, value: float) -> float:
@@ -272,7 +274,7 @@ def _reconstruct_system(args) -> tuple[HillSystem, dict]:
 def cmd_reconstruct(args) -> dict:
     sys_, params = _reconstruct_system(args)
     dom = _parse_domain(args.domain) if args.domain else RectDomain(-1.0, 1.0, -1.0, 1.0)
-    nsamp = args.samples
+    nsamp = _positive("--samples", args.samples)
     reach = complex(dom.x1, dom.y1) * 0.9
     pts = [reach * t for t in np.linspace(1.0 / nsamp, 1.0, nsamp)]
     sol = integrate_hill(sys_, [0.0] + pts)
@@ -365,7 +367,7 @@ def cmd_verify(args) -> dict:
     patch = _VERIFY_DEFAULT_PATCH.get(args.surface or "", RectDomain(-1.0, 1.0, -1.0, 1.0))
     if args.domain is not None:
         patch = _parse_domain(args.domain)
-    # float counts (rint ties to even, like round()) so an infinite side reaches the check
+    # float counts (rint ties to even, like round()) so a side / delta that overflows reaches the check
     n, ny = (max(8.0, np.rint(s / delta) + 1.0) for s in (patch.x1 - patch.x0, patch.y1 - patch.y0))
     _check_nodes(n, ny)
     grid = patch.grid(int(n), int(ny))
@@ -395,6 +397,7 @@ def cmd_norm(args) -> dict:
         # the model densities are below tol/10 by |x| = 20
         x_cut = 20.0
     if x_cut is not None:
+        x_cut = _positive("--x-cut", x_cut)
         dom = RectDomain(-x_cut, x_cut, dom.y0, dom.y1)
     value = weighted_entropy_norm(data, dom, tol=_positive("--tol", args.tol))
     return {

@@ -1,12 +1,14 @@
 """Shared numerical infrastructure.
 
 Uniform rectangular grids with scalar/metric fields, second-order finite
-difference operators in conformal metrics, and deterministic adaptive
-Gauss-Legendre quadrature (2-D panels and 1-D complex line segments).
+difference operators in conformal metrics, and one deterministic adaptive
+Gauss-Legendre engine on the unit box, evaluated a level at a time, that
+serves 2-D panels and 1-D complex line segments.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,27 +215,63 @@ class QuadratureResult:
         return float(np.real(self.value))
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GL_POINTS = {1: 15, 2: 12}  # per axis; 12 is even, so 2-D nodes never hit panel centres or edges
+_CALL_POINTS = 1152  # most points per integrand call: 8 panels of the 2-D rule
 
 
-def _gl_rule(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+@functools.cache
+def _rule(d: int):
+    """Tensor Gauss-Legendre nodes (d, P) and weights (P,) on [-1, 1]^d, axis 0 fastest."""
+    n = _GL_POINTS[d]
+    x, w = np.polynomial.legendre.leggauss(n)
+    if d == 1:
+        return x[None, :], w
+    return np.stack([np.tile(x, n), np.repeat(x, n)]), np.outer(w, w).reshape(-1)
 
 
-_GL2D_POINTS = 12  # even: tensor nodes never hit panel centers or edges
+def _adaptive(g, d: int, tol: float, max_panels: int, what: str):
+    """Adaptive Gauss-Legendre integral of g over the unit box [0, 1]^d.
 
+    ``g`` maps points (d, N) to values (..., N).  Every panel is bisected
+    along every axis, and the children of all open panels of a level are
+    evaluated together, at most ``_CALL_POINTS`` points per call of ``g``.
+    A panel is accepted when max |children - parent| over the components is
+    at most ``tol`` times its volume.  Acceptance is local, so the panel tree
+    does not depend on the order panels are evaluated in; the budget is
+    checked before a level is evaluated.  Accepted values are summed level
+    by level in panel order.  Returns (value, error, panels).
+    """
+    nodes, weights = _rule(d)
+    offsets = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # children, axis 0 fastest
+    per_call = _CALL_POINTS // len(weights)
 
-def _panel_value(density, x0, x1, y0, y1) -> float:
-    nodes, weights = _gl_rule(_GL2D_POINTS)
-    cx, rx = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
-    cy, ry = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
-    xs = cx + rx * nodes
-    ys = cy + ry * nodes
-    zs = xs[None, :] + 1j * ys[:, None]
-    vals = np.asarray(density(zs), dtype=np.float64)
-    return float(rx * ry * np.einsum("i,ij,j->", weights, vals, weights))
+    def values(corners, h):
+        out = []
+        for i in range(0, len(corners), per_call):
+            c = corners[i : i + per_call] + 0.5 * h
+            v = g((c.T[:, :, None] + 0.5 * h * nodes[:, None, :]).reshape(d, -1))
+            out.append((0.5 * h) ** d * (v.reshape(v.shape[:-1] + (len(c), -1)) @ weights))
+        return np.concatenate(out, axis=-1)
+
+    corners, h, panels = np.zeros((1, d)), 1.0, 0
+    parent, accepted, errors = None, [], []
+    while len(corners):
+        if panels + len(corners) > max_panels:
+            raise NoConvergence(f"{what} exceeded {max_panels} panels")
+        panels += len(corners)
+        if parent is None:
+            parent = values(corners, h)
+        h *= 0.5
+        corners = (corners[:, None, :] + h * offsets).reshape(-1, d)
+        kids = values(corners, h)
+        refined = kids.reshape(kids.shape[:-1] + (-1, 2**d)).sum(axis=-1)
+        err = np.abs(refined - parent).reshape(-1, refined.shape[-1]).max(axis=0)
+        done = err <= tol * (2 * h) ** d
+        accepted.append(refined[..., done])
+        errors.append(err[done])
+        open_ = np.repeat(~done, 2**d)
+        corners, parent = corners[open_], kids[..., open_]
+    return np.concatenate(accepted, axis=-1).sum(axis=-1), float(np.concatenate(errors).sum()), panels
 
 
 def integrate2d(density, domain: RectDomain, tol: float = 1e-8, max_panels: int = 40000) -> QuadratureResult:
@@ -245,47 +283,14 @@ def integrate2d(density, domain: RectDomain, tol: float = 1e-8, max_panels: int 
     ``tol``.  Panel processing order is fixed, so results are reproducible
     bit for bit.
     """
-    total_area = domain.area
-    stack = [(domain.x0, domain.x1, domain.y0, domain.y1, None)]
-    total = 0.0
-    err_total = 0.0
-    panels = 0
-    while stack:
-        x0, x1, y0, y1, parent_val = stack.pop()
-        panels += 1
-        if panels > max_panels:
-            raise NoConvergence(f"2-D quadrature exceeded {max_panels} panels")
-        if parent_val is None:
-            parent_val = _panel_value(density, x0, x1, y0, y1)
-        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        quads = (
-            (x0, xm, y0, ym),
-            (xm, x1, y0, ym),
-            (x0, xm, ym, y1),
-            (xm, x1, ym, y1),
-        )
-        child_vals = [_panel_value(density, *q) for q in quads]
-        refined = sum(child_vals)
-        err = abs(refined - parent_val)
-        local_tol = tol * ((x1 - x0) * (y1 - y0)) / total_area
-        if err <= local_tol:
-            total += refined
-            err_total += err
-        else:
-            for q, v in zip(reversed(quads), reversed(child_vals)):
-                stack.append(q + (v,))
-    return QuadratureResult(total, err_total, panels)
 
+    def g(u):
+        d = domain
+        zs = (d.x0 + (d.x1 - d.x0) * u[0]) + 1j * (d.y0 + (d.y1 - d.y0) * u[1])
+        return d.area * np.asarray(density(zs), dtype=np.float64)
 
-_GL1D_POINTS = 15
-
-
-def _segment_value(f, a: complex, b: complex):
-    nodes, weights = _gl_rule(_GL1D_POINTS)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    zs = mid + half * nodes
-    vals = np.asarray(f(zs))
-    return half * np.tensordot(vals, weights, axes=([-1], [0]))
+    value, error, panels = _adaptive(g, 2, tol, max_panels, "2-D quadrature")
+    return QuadratureResult(float(value), error, panels)
 
 
 def integrate_segment(f, a: complex, b: complex, tol: float = 1e-10, max_panels: int = 4000) -> QuadratureResult:
@@ -296,31 +301,11 @@ def integrate_segment(f, a: complex, b: complex, tol: float = 1e-10, max_panels:
     bisected until |whole - sum of halves| (max over components) meets the
     length-proportional share of ``tol``.
     """
-    total_len = abs(b - a)
-    if total_len == 0:
+    if b == a:
         probe = np.asarray(f(np.array([a])))
         return QuadratureResult(np.zeros(probe.shape[:-1], dtype=probe.dtype), 0.0, 0)
-    stack = [(a, b, None)]
-    total = None
-    err_total = 0.0
-    panels = 0
-    while stack:
-        za, zb, whole = stack.pop()
-        panels += 1
-        if panels > max_panels:
-            raise NoConvergence(f"line quadrature exceeded {max_panels} panels")
-        if whole is None:
-            whole = _segment_value(f, za, zb)
-        zm = 0.5 * (za + zb)
-        left = _segment_value(f, za, zm)
-        right = _segment_value(f, zm, zb)
-        refined = left + right
-        err = float(np.max(np.abs(refined - whole)))
-        local_tol = tol * abs(zb - za) / total_len
-        if err <= local_tol:
-            total = refined if total is None else total + refined
-            err_total += err
-        else:
-            stack.append((zm, zb, right))
-            stack.append((za, zm, left))
-    return QuadratureResult(total, err_total, panels)
+
+    def g(u):
+        return (b - a) * np.asarray(f(a + (b - a) * u[0]))
+
+    return QuadratureResult(*_adaptive(g, 1, tol, max_panels, "line quadrature"))

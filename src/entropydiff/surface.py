@@ -174,6 +174,17 @@ def grid_faces(ny: int, nx: int) -> np.ndarray:
     return faces
 
 
+def _edge_integrals(f, za, zb, tol: float) -> np.ndarray:
+    """Integrals (3, n) of f along the edges za[k] -> zb[k], all in one
+    lockstep quadrature on a shared parameter t in [0, 1]."""
+    d = zb - za
+
+    def g(ts):
+        return f(za[:, None] + d[:, None] * ts[None, :]) * d[None, :, None]
+
+    return integrate_segment(g, 0.0, 1.0, tol=tol).value
+
+
 def sample_mesh(
     data: WeierstrassData,
     resolution,
@@ -201,29 +212,14 @@ def sample_mesh(
             raise PoleOnPath("mesh nodes hit a non-removable singularity even after perturbation")
 
     positions = np.empty((ny, nx, 3), dtype=np.float64)
-    acc = np.zeros(3, dtype=np.complex128)
     positions[0, 0] = 0.0
-    # bottom row, left to right
-    for i in range(1, nx):
-        res = integrate_segment(f, zs[0, i - 1], zs[0, i], tol=tol)
-        acc = acc + res.value
-        positions[0, i] = np.real(acc)
-    # all columns in lockstep, bottom to top
-    col_acc = positions[0, :, :].astype(np.complex128).T  # (3, nx)
-
+    # bottom row, left to right, then all columns bottom to top
+    row = np.cumsum(_edge_integrals(f, zs[0, :-1], zs[0, 1:], tol), axis=1)
+    positions[0, 1:] = np.real(row).T
+    col_acc = positions[0].astype(np.complex128).T  # (3, nx)
     for j in range(1, ny):
-        za_row = zs[j - 1, :]
-        zb_row = zs[j, :]
-
-        def fcol(ts, za=za_row, zb=zb_row):
-            # shared parameter t in [0,1] for every column
-            pts = za[:, None] + np.asarray(ts)[None, :] * (zb - za)[:, None]
-            vals = f(pts)  # (3, nx, nt)
-            return vals * (zb - za)[None, :, None]
-
-        res = integrate_segment(fcol, 0.0, 1.0, tol=tol)
-        col_acc = col_acc + res.value
-        positions[j, :, :] = np.real(col_acc).T
+        col_acc = col_acc + _edge_integrals(f, zs[j - 1], zs[j], tol)
+        positions[j] = np.real(col_acc).T
 
     fields = SurfaceFields(data, zs)
     T, That = fields.norms

@@ -194,6 +194,16 @@ def test_numeric_failure_exit_code(tmp_path):
         ("verify", "--surface", "catenoid", "--delta", "1e-6"),
         ("verify", "--surface", "catenoid", "--delta", "5e-324"),
         ("verify", "--surface", "catenoid", "--delta", "0.01", "--domain", "-inf,1,-1,1"),
+        ("reconstruct", "--rho", "1", "--samples", "0"),
+        ("reconstruct", "--rho", "1", "--samples", "-3"),
+        ("norm", "--surface", "catenoid", "--x-cut", "0"),
+        ("norm", "--surface", "catenoid", "--x-cut", "-5"),
+        ("norm", "--surface", "catenoid", "--x-cut", "nan"),
+        ("norm", "--surface", "catenoid", "--x-cut", "inf"),
+        # a non-finite domain bound
+        ("norm", "--G", "z", "--h", "1", "--domain", "0,inf,0,1"),
+        ("analyze", "--G", "z", "--h", "1", "--domain", "0,inf,0,1"),
+        ("mesh", "--G", "z", "--h", "1", "--domain", "0,inf,0,1", "--obj", os.devnull),
     ],
 )
 def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, monkeypatch, argv):
@@ -229,10 +239,12 @@ def test_analyze_with_no_finite_curvature_is_a_numeric_failure(tmp_path):
     assert doc["error"]["code"] == "degenerate-point"
 
 
-def test_cli_import_leaves_scipy_out():
+@pytest.mark.parametrize("module", ["scipy", "numpy.polynomial"])
+def test_cli_import_leaves_scipy_out(module):
+    # numpy.polynomial builds the Gauss-Legendre rule, on first use only
     import subprocess
     import sys
 
-    probe = "import sys, entropydiff.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, entropydiff.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

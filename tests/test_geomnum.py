@@ -14,6 +14,9 @@ from entropydiff.geomnum import (
     laplacian_conformal,
     tracefree_hessian_conformal,
 )
+from entropydiff.models import get_model
+from entropydiff.surface import sample_mesh, weierstrass_integrand
+from entropydiff.weierstrass import SurfaceFields
 
 
 def _fields(domain, n, f_of_xy, lam_of_xy):
@@ -157,3 +160,72 @@ def test_integrate_segment_vector_components():
     b, a = 2.0 + 2j, 1.0
     expected = np.array([b - a, (b**2 - a**2) / 2, (b**3 - a**3) / 3])
     np.testing.assert_allclose(res.value, expected, rtol=1e-12)
+
+
+def test_integrate_segment_budget_exhaustion():
+    with pytest.raises(NoConvergence):
+        integrate_segment(lambda zs: 1.0 / (zs - 0.5 - 1e-6j), 0.0, 1.0, tol=1e-14, max_panels=8)
+
+
+@pytest.mark.parametrize(
+    "name, kw, panels, value",
+    [
+        # frozen from a depth-first, one-panel-per-call loop under the same local rule
+        ("catenoid", {}, 53, 16.598629878142198),
+        ("deformed-helicoid", {"t": 0.35}, 85, 14.620406448830716),
+    ],
+)
+def test_norm_density_keeps_its_panel_tree(name, kw, panels, value):
+    data = get_model(name, **kw).data
+
+    def density(zs):
+        f = SurfaceFields(data, zs)
+        return np.sqrt(np.maximum(f.norms[1], 0.0)) * f.metric["lambda_sq"]
+
+    res = integrate2d(density, RectDomain(-20, 20, 0, 2 * np.pi), tol=1e-6)
+    assert res.panels == panels
+    assert abs(res.value - value) <= 1e-13 * value
+
+
+def _counting(f, sizes):
+    def g(zs):
+        sizes.append(np.size(zs))
+        return f(zs)
+
+    return g
+
+
+def test_integrand_calls_stay_under_the_point_cap():
+    sizes = []
+    peak = _counting(lambda z: 1.0 / (np.abs(z - 0.3 - 0.6j) + 1e-3), sizes)
+    res = integrate2d(peak, RectDomain(0, 1, 0, 1), tol=1e-9)
+    assert res.panels > 100 and max(sizes) == 1152
+    sizes.clear()
+    integrate_segment(_counting(lambda z: np.exp(40j * z), sizes), 0.0, 10.0, tol=1e-12)
+    assert 144 < max(sizes) <= 1152
+
+
+def test_budget_is_checked_before_a_level_is_evaluated():
+    sizes = []
+    with pytest.raises(NoConvergence):
+        nan = _counting(lambda z: np.full(np.shape(z), np.nan), sizes)
+        integrate2d(nan, RectDomain(0, 1, 0, 1), max_panels=20)
+    # the root panel plus four children for each of at most 20 panels
+    assert sum(sizes) <= (4 * 20 + 1) * 144
+
+
+def test_sample_mesh_positions_match_per_edge_integrals():
+    data = get_model("deformed-catenoid", t=0.35).data
+    mesh = sample_mesh(data, (16, 16))
+    f, zs = weierstrass_integrand(data), mesh.zs
+    expected = np.zeros((16, 16, 3))
+    row = np.zeros(3, dtype=complex)
+    for i in range(1, 16):
+        row = row + integrate_segment(f, zs[0, i - 1], zs[0, i]).value
+        expected[0, i] = row.real
+    for i in range(16):
+        col = expected[0, i].astype(complex)
+        for j in range(1, 16):
+            col = col + integrate_segment(f, zs[j - 1, i], zs[j, i]).value
+            expected[j, i] = col.real
+    np.testing.assert_allclose(mesh.positions, expected, rtol=0, atol=1e-12)
