@@ -10,16 +10,15 @@ or from expression strings (--G EXPR --h EXPR --domain x0,x1,y0,y1).
 Reports are JSON (schema 1) with floats printed to 17 significant digits
 and fixed key order, so identical configs produce byte-identical files.
 Exit codes: 0 success, 1 bad input (a grid over MAX_GRID_NODES too), 2
-numeric failure.  The env var ENTROPYDIFF_THREADS caps concurrent checks.
+numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,17 +35,8 @@ from .hill import (
 )
 from .jets import parse_expression
 from .models import MODEL_NAMES, get_model
-from .surface import SurfaceMesh, grid_faces, inverse_stereographic, sample_mesh, write_obj, write_sidecar
-from .verify import (
-    Report,
-    ecritical_residual,
-    hill_round_trip,
-    ht_period_check,
-    liouville_check,
-    ricci_residual,
-    soliton_check,
-    weighted_entropy_norm,
-)
+from .surface import sample_mesh, spinor_mesh, write_obj, write_sidecar
+from .verify import hill_round_trip, run_checks, weighted_entropy_norm
 from .weierstrass import SurfaceFields, WeierstrassData
 
 SCHEMA_VERSION = 1
@@ -118,6 +108,17 @@ class _CliParser(argparse.ArgumentParser):
 
 class BadInput(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _refused_as_bad_input():
+    """A plain ValueError from the library means it refused the input."""
+    try:
+        yield
+    except ValueError as exc:
+        if isinstance(exc, (BadInput, EntropyDiffError)):
+            raise
+        raise BadInput(str(exc)) from exc
 
 
 def _parse_grid(text: str):
@@ -252,7 +253,7 @@ def cmd_analyze(args) -> dict:
 def _reconstruct_system(args) -> tuple[HillSystem, dict]:
     rho = parse_expression(args.rho)
     params: dict = {"rho": args.rho}
-    try:
+    with _refused_as_bad_input():
         if args.phi is not None or args.alpha is not None:
             if args.phi is None or args.alpha is None:
                 raise BadInput("the exponential normal form needs both --phi and --alpha")
@@ -265,10 +266,6 @@ def _reconstruct_system(args) -> tuple[HillSystem, dict]:
             state = canonical_state_mu_nu(mu, nu)
             params.update({"mu": mu, "nu": [nu.real, nu.imag]})
         return HillSystem(rho, 0.0, state), params
-    except ValueError as exc:
-        if isinstance(exc, BadInput):
-            raise
-        raise BadInput(str(exc)) from exc
 
 
 def cmd_reconstruct(args) -> dict:
@@ -304,25 +301,7 @@ def cmd_reconstruct(args) -> dict:
         nx, ny = _parse_grid(args.grid)
         grid = dom.grid(nx, ny)
         fields = solve_on_grid(sys_, grid, with_positions=True)
-        w1, w2 = fields["w1"], fields["w2"]
-        norm_sq = np.abs(w1) ** 2 + np.abs(w2) ** 2
-        lam2 = norm_sq**2
-        K = -1.0 / lam2**2
-        with np.errstate(all="ignore"):
-            G = np.where(np.abs(w1) > 0, w2 / np.where(w1 == 0, 1.0, w1), np.inf)
-            rho_vals = sys_.rho.eval(grid.zs)
-            T = np.abs(rho_vals) / (np.sqrt(2.0) * lam2)
-            That = np.abs(K) * T
-        mesh = SurfaceMesh(
-            grid=grid,
-            zs=grid.zs,
-            positions=np.stack([fields["x1"], fields["x2"], fields["x3"]], axis=-1),
-            normals=inverse_stereographic(G),
-            K=K,
-            T_norm=T,
-            That_norm=That,
-            faces=grid_faces(ny, nx),
-        )
+        mesh = spinor_mesh(grid, fields, sys_.rho)
         write_obj(mesh, args.obj)
         doc["obj"] = args.obj
         if args.sidecar:
@@ -332,53 +311,21 @@ def cmd_reconstruct(args) -> dict:
     return doc
 
 
-_VERIFY_DEFAULT_PATCH = {
-    "enneper": RectDomain(1.0, 3.0, -1.0, 1.0),
-}
-
-
-def _run_check(name: str, args, params: dict, data: WeierstrassData, grid) -> Report:
-    if name == "ricci":
-        return ricci_residual(data, grid)
-    if name == "ecritical":
-        return ecritical_residual(data, grid)
-    if name == "soliton":
-        return soliton_check(data, grid)
-    if name == "liouville":
-        try:
-            return liouville_check(args.surface, grid)
-        except ValueError as exc:
-            if isinstance(exc, EntropyDiffError):
-                raise
-            raise BadInput(str(exc)) from exc
-    if name == "ht-period":
-        if args.surface != "deformed-helicoid" or "t" not in params:
-            raise BadInput("ht-period measures H_t: give --surface deformed-helicoid --t T")
-        return ht_period_check(params["t"])  # the clamped t of the surface
-    raise BadInput(f"unknown check {name!r}")
-
-
 def cmd_verify(args) -> dict:
     data, params = _surface_from_args(args)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     if not checks:
         raise BadInput("no checks requested")
     delta = _positive("--delta", args.delta)
-    patch = _VERIFY_DEFAULT_PATCH.get(args.surface or "", RectDomain(-1.0, 1.0, -1.0, 1.0))
+    patch = RectDomain(1.0, 3.0, -1.0, 1.0) if args.surface == "enneper" else RectDomain(-1.0, 1.0, -1.0, 1.0)
     if args.domain is not None:
         patch = _parse_domain(args.domain)
     # float counts (rint ties to even, like round()) so a side / delta that overflows reaches the check
     n, ny = (max(8.0, np.rint(s / delta) + 1.0) for s in (patch.x1 - patch.x0, patch.y1 - patch.y0))
     _check_nodes(n, ny)
     grid = patch.grid(int(n), int(ny))
-
-    threads = int(os.environ.get("ENTROPYDIFF_THREADS", "1") or "1")
-    if threads > 1 and len(checks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda c: _run_check(c, args, params, data, grid), checks))
-    else:
-        reports = [_run_check(c, args, params, data, grid) for c in checks]
-    reports.sort(key=lambda r: r.check_name)
+    with _refused_as_bad_input():
+        reports = run_checks(checks, data, grid, args.surface, params.get("t"))  # the clamped t
     return {
         "schema": SCHEMA_VERSION,
         "command": "verify",
@@ -392,7 +339,7 @@ def cmd_norm(args) -> dict:
     data, params = _surface_from_args(args)
     dom = data.domain
     x_cut = args.x_cut
-    if x_cut is None and data.periodic_y is not None:
+    if x_cut is None and args.domain is None and data.periodic_y is not None:
         # periodic families live on the full strip; the sech-type tails of
         # the model densities are below tol/10 by |x| = 20
         x_cut = 20.0

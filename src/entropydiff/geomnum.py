@@ -182,19 +182,17 @@ def tracefree_hessian_conformal(f: ScalarField, m: ConformalMetricField):
     return ScalarField(f.grid, a), ScalarField(f.grid, b)
 
 
-def interior_mask(grid: UniformGrid, ring: int = 2) -> np.ndarray:
-    """Boolean mask excluding a boundary ring (width 2 by default, so
-    one-sided effects never pollute residual statistics)."""
+def interior_mask(grid: UniformGrid) -> np.ndarray:
+    """Boolean mask excluding a boundary ring of width 2, so one-sided
+    effects never pollute residual statistics."""
     mask = np.zeros(grid.shape, dtype=bool)
-    mask[ring:-ring, ring:-ring] = True
+    mask[2:-2, 2:-2] = True
     return mask
 
 
-def interior_stats(values: np.ndarray, grid: UniformGrid, ring: int = 2, extra_mask=None):
+def interior_stats(values: np.ndarray, grid: UniformGrid):
     """(max, mean) of |values| over valid interior nodes."""
-    mask = interior_mask(grid, ring) & np.isfinite(values)
-    if extra_mask is not None:
-        mask &= extra_mask
+    mask = interior_mask(grid) & np.isfinite(values)
     if not mask.any():
         raise GridTooCoarse("no valid interior nodes for statistics")
     v = np.abs(values[mask])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import PoleOnPath
 from .geomnum import RectDomain, UniformGrid, integrate_segment
-from .jets import eval_jet, jet_div, jet_mul
+from .jets import AnalyticExpr, eval_jet, jet_div, jet_mul
 from .weierstrass import SurfaceFields, WeierstrassData
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "period_vector",
     "inverse_stereographic",
     "sample_mesh",
+    "spinor_mesh",
     "write_obj",
     "grid_faces",
     "write_sidecar",
@@ -234,6 +235,23 @@ def sample_mesh(
         That_norm=That,
         faces=grid_faces(ny, nx),
     )
+
+
+def spinor_mesh(grid: UniformGrid, fields: dict, rho: AnalyticExpr) -> SurfaceMesh:
+    """The mesh of a surface rebuilt from a Hill pair (w1, w2) for ``rho``:
+    ``fields`` as ``hill.solve_on_grid(..., with_positions=True)`` returns
+    them on ``grid``.  lambda = |w1|^2 + |w2|^2, K = -1/lambda^4, G = w2/w1
+    and |T| = |rho|/(sqrt(2) lambda^2)."""
+    w1, w2 = fields["w1"], fields["w2"]
+    norm_sq = np.abs(w1) ** 2 + np.abs(w2) ** 2
+    lam2 = norm_sq**2
+    K = -1.0 / lam2**2
+    with np.errstate(all="ignore"):
+        G = np.where(np.abs(w1) > 0, w2 / np.where(w1 == 0, 1.0, w1), np.inf)
+        T = np.abs(rho.eval(grid.zs)) / (np.sqrt(2.0) * lam2)
+        That = np.abs(K) * T
+    positions = np.stack([fields["x1"], fields["x2"], fields["x3"]], axis=-1)
+    return SurfaceMesh(grid, grid.zs, positions, inverse_stereographic(G), K, T, That, grid_faces(*grid.shape))
 
 
 def write_obj(mesh: SurfaceMesh, path: str):

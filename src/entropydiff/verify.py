@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .geomnum import (
     UniformGrid,
     integrate2d,
     interior_mask,
+    interior_stats,
     laplacian_conformal,
     tracefree_hessian_conformal,
 )
@@ -55,6 +57,7 @@ __all__ = [
     "ConformalPowerMap",
     "ConformalPowerResult",
     "gauss_curvature_of_conformal",
+    "run_checks",
     "ricci_residual",
     "ricci_residual_fields",
     "conformal_power",
@@ -111,19 +114,21 @@ class Report:
         }
 
 
-def _umbilic_guard(K: np.ndarray, grid: UniformGrid, guard_nodes: int = 3) -> np.ndarray:
-    """True where a node is within ``guard_nodes`` of a (near-)umbilic node.
+_GUARD_RADIUS = 3  # nodes around a (near-)umbilic left out of stencil statistics
 
-    Umbilic points are exactly the zeros of K; the guard radius 3 delta
-    keeps the double pole of the entropy differential out of stencil
-    statistics.
+
+def _umbilic_guard(K: np.ndarray, grid: UniformGrid) -> np.ndarray:
+    """True where a node is within ``_GUARD_RADIUS`` nodes of a (near-)umbilic node.
+
+    Umbilic points are exactly the zeros of K; the guard keeps the double
+    pole of the entropy differential out of stencil statistics.
     """
     scale = np.nanmax(np.abs(K)) or 1.0
     near = ~(np.abs(K) > TOLERANCES["umbilic_kappa_rel"] * scale) | ~np.isfinite(K)
     if not near.any():
         return near
     # dilate by the disk of radius g: OR of the mask shifted by each offset
-    g = guard_nodes
+    g = _GUARD_RADIUS
     ny, nx = near.shape
     padded = np.pad(near, g)
     out = np.zeros_like(near)
@@ -134,12 +139,94 @@ def _umbilic_guard(K: np.ndarray, grid: UniformGrid, guard_nodes: int = 3) -> np
     return out
 
 
-def _stencil_stats(resid: np.ndarray, grid: UniformGrid, guard: np.ndarray):
-    mask = interior_mask(grid) & ~guard & np.isfinite(resid)
+def _surviving(grid: UniformGrid, guard: np.ndarray, *fields: np.ndarray) -> list:
+    """Each field at the interior nodes that survive the umbilic guard and
+    where every field is finite; UmbilicOnGrid when no node survives."""
+    mask = interior_mask(grid) & ~guard & np.logical_and.reduce([np.isfinite(f) for f in fields])
     if not mask.any():
         raise UmbilicOnGrid("no residual nodes survive the umbilic guard")
-    vals = np.abs(resid[mask])
-    return float(vals.max()), float(vals.mean())
+    return [f[mask] for f in fields]
+
+
+def _stencil_report(name: str, grid: UniformGrid, stats: dict, worst: float) -> Report:
+    """A stencil check passes when its worst residual is within C * delta^2."""
+    delta = max(grid.hx, grid.hy)
+    tol = TOLERANCES[f"stencil_{name}"] * delta**2
+    return Report(name, {"delta": delta, "nx": grid.nx, "ny": grid.ny}, stats, tol, worst <= tol)
+
+
+def _residual_report(name: str, resid: np.ndarray, grid: UniformGrid, guard: np.ndarray) -> Report:
+    (vals,) = _surviving(grid, guard, np.abs(resid))
+    mx = float(vals.max())
+    return _stencil_report(name, grid, {"max_residual": mx, "mean_residual": float(vals.mean())}, mx)
+
+
+class _GridMetric:
+    """The metric of ``data`` on ``grid`` from one jet pass, and the umbilic
+    guard and E-critical pair derived from it at most once each.  Built only
+    from (data, grid), so a check reads the fields of the grid it reports on."""
+
+    def __init__(self, data: WeierstrassData, grid: UniformGrid):
+        mf = metric_fields(data, grid.zs)
+        # lambda^2 = 0 at a branch point on a node: NaN there, a node the guard drops (K is not finite)
+        self.grid, self.K, self.lambda_sq = grid, mf["K"], np.where(mf["lambda_sq"] != 0, mf["lambda_sq"], np.nan)
+        self.guard = _umbilic_guard(self.K, grid)
+
+    @cached_property
+    def hat(self):
+        """ghat = |K|^(3/4) g, its curvature K_hat = |K|^(1/4)/2, the potential
+        f = log K_hat and Delta_ghat f, which ecritical and soliton share."""
+        with np.errstate(all="ignore"):
+            lam_hat = np.abs(self.K) ** 0.75 * self.lambda_sq
+            # ghat has no factor at an umbilic on a node (K = 0): NaN there, a node the guard drops
+            m_hat = ConformalMetricField(self.grid, np.where(lam_hat != 0, lam_hat, np.nan))
+            K_hat = 0.5 * np.abs(self.K) ** 0.25
+            f = ScalarField(self.grid, np.log(K_hat))
+            return m_hat, K_hat, f, laplacian_conformal(f, m_hat).values
+
+    def ricci(self) -> Report:
+        return _ricci(ConformalMetricField(self.grid, self.lambda_sq), self.K, self.guard)
+
+    def ecritical(self) -> Report:
+        _, K_hat, _, lap = self.hat
+        return _residual_report("ecritical", lap + 2.0 * K_hat, self.grid, self.guard)
+
+    def soliton(self) -> Report:
+        m_hat, K_hat, f, lap = self.hat
+        with np.errstate(all="ignore"):
+            a, b = tracefree_hessian_conformal(f, m_hat)
+            hess_resid = np.maximum(np.abs(a.values), np.abs(b.values)) / m_hat.lambda_sq
+        hess, lap, K_hat = _surviving(self.grid, self.guard, hess_resid, lap, K_hat)
+        lam_fit = float(np.mean(lap / 2.0 + K_hat))
+        lap_resid = float(np.abs(lap - 2.0 * (lam_fit - K_hat)).max())
+        hess_max = float(hess.max())
+        stats = {"hessian_residual": hess_max, "laplacian_residual": lap_resid, "fitted_lambda": lam_fit}
+        return _stencil_report("soliton", self.grid, stats, max(lap_resid, hess_max))
+
+
+def run_checks(names, data: WeierstrassData, grid: UniformGrid, surface=None, t=None) -> list:
+    """Run the named checks on ``grid`` and return their reports sorted by name.
+
+    ricci, ecritical and soliton test ``data`` and share one metric of it on
+    ``grid``; liouville tests the catalog ``surface`` and ht-period H_t at
+    ``t`` (``surface`` must be deformed-helicoid).  An unknown name, or a
+    surface a check cannot test, raises ValueError.
+    """
+    shared = None
+    reports = []
+    for name in names:
+        if name in ("ricci", "ecritical", "soliton"):
+            shared = shared or _GridMetric(data, grid)
+            reports.append(getattr(shared, name)())
+        elif name == "liouville":
+            reports.append(liouville_check(surface, grid))
+        elif name == "ht-period":
+            if surface != "deformed-helicoid" or t is None:
+                raise ValueError("ht-period measures H_t: it needs the deformed-helicoid surface and its t")
+            reports.append(ht_period_check(t))
+        else:
+            raise ValueError(f"unknown check {name!r}")
+    return sorted(reports, key=lambda r: r.check_name)
 
 
 def gauss_curvature_of_conformal(m: ConformalMetricField) -> ScalarField:
@@ -154,30 +241,20 @@ def gauss_curvature_of_conformal(m: ConformalMetricField) -> ScalarField:
 # Ricci condition and E-criticality
 # ---------------------------------------------------------------------------
 
-def ricci_residual_fields(m: ConformalMetricField, K: np.ndarray, delta: float | None = None) -> Report:
-    """Residual of Delta_g log|K| - 4K on explicit metric/curvature fields."""
-    grid = m.grid
-    delta = delta if delta is not None else max(grid.hx, grid.hy)
-    guard = _umbilic_guard(K, grid)
+def _ricci(m: ConformalMetricField, K: np.ndarray, guard: np.ndarray) -> Report:
     with np.errstate(all="ignore"):
-        logK = ScalarField(grid, np.log(np.abs(K)))
-        resid = laplacian_conformal(logK, m).values - 4.0 * K
-    mx, mean = _stencil_stats(resid, grid, guard)
-    tol = TOLERANCES["stencil_ricci"] * delta**2
-    return Report(
-        "ricci",
-        {"delta": delta, "nx": grid.nx, "ny": grid.ny},
-        {"max_residual": mx, "mean_residual": mean},
-        tol,
-        mx <= tol,
-    )
+        resid = laplacian_conformal(ScalarField(m.grid, np.log(np.abs(K))), m).values - 4.0 * K
+    return _residual_report("ricci", resid, m.grid, guard)
+
+
+def ricci_residual_fields(m: ConformalMetricField, K: np.ndarray) -> Report:
+    """Residual of Delta_g log|K| - 4K on explicit metric/curvature fields."""
+    return _ricci(m, K, _umbilic_guard(K, m.grid))
 
 
 def ricci_residual(data: WeierstrassData, grid: UniformGrid) -> Report:
     """Ricci condition Delta_g log|K_g| = 4 K_g on Weierstrass data."""
-    mf = metric_fields(data, grid.zs)
-    m = ConformalMetricField(grid, mf["lambda_sq"])
-    return ricci_residual_fields(m, mf["K"])
+    return _GridMetric(data, grid).ricci()
 
 
 @dataclass
@@ -224,39 +301,21 @@ def conformal_power(m: ConformalMetricField, K: np.ndarray, pmap: ConformalPower
     K_new = (1.0 - C * a) * np.abs(K) ** (-2 * a) * K
     new_metric = ConformalMetricField(grid, lam_new)
     K_meas = gauss_curvature_of_conformal(new_metric).values
-    mask = interior_mask(grid) & np.isfinite(K_meas)
-    disc = float(np.abs(K_meas[mask] - K_new[mask]).max())
+    disc = interior_stats(K_meas - K_new, grid)[0]
     c_alpha = None if pmap.is_flattening else pmap.C_alpha
     return ConformalPowerResult(new_metric, K_new, c_alpha, disc)
 
 
 def ecritical_metric(data: WeierstrassData, grid: UniformGrid):
     """The E-critical metric ghat = |K|^(3/4) g of minimal-surface data:
-    conformal factor |K|^(3/4) lambda^2 and curvature |K|^(1/4)/2."""
-    mf = metric_fields(data, grid.zs)
-    K = mf["K"]
-    with np.errstate(all="ignore"):
-        lam_hat = np.abs(K) ** 0.75 * mf["lambda_sq"]
-        K_hat = 0.5 * np.abs(K) ** 0.25
-    return ConformalMetricField(grid, lam_hat), K_hat, K
+    (conformal factor |K|^(3/4) lambda^2, curvature |K|^(1/4)/2, K)."""
+    g = _GridMetric(data, grid)
+    return g.hat[0], g.hat[1], g.K
 
 
 def ecritical_residual(data: WeierstrassData, grid: UniformGrid) -> Report:
     """E-criticality Delta_ghat log K_ghat = -2 K_ghat for ghat = |K|^(3/4) g."""
-    m_hat, K_hat, K = ecritical_metric(data, grid)
-    delta = max(grid.hx, grid.hy)
-    guard = _umbilic_guard(K, grid)
-    with np.errstate(all="ignore"):
-        resid = laplacian_conformal(ScalarField(grid, np.log(K_hat)), m_hat).values + 2.0 * K_hat
-    mx, mean = _stencil_stats(resid, grid, guard)
-    tol = TOLERANCES["stencil_ecritical"] * delta**2
-    return Report(
-        "ecritical",
-        {"delta": delta, "nx": grid.nx, "ny": grid.ny},
-        {"max_residual": mx, "mean_residual": mean},
-        tol,
-        mx <= tol,
-    )
+    return _GridMetric(data, grid).ecritical()
 
 
 # ---------------------------------------------------------------------------
@@ -387,32 +446,7 @@ def soliton_check(data: WeierstrassData, grid: UniformGrid) -> Report:
     Delta f = 2(lambda - K) with lambda fitted by least squares over the
     interior; passing requires the Hessian residual at stencil scale.
     """
-    m_hat, K_hat, K = ecritical_metric(data, grid)
-    delta = max(grid.hx, grid.hy)
-    guard = _umbilic_guard(K, grid)
-    with np.errstate(all="ignore"):
-        f = ScalarField(grid, np.log(K_hat))
-        a, b = tracefree_hessian_conformal(f, m_hat)
-        hess_resid = np.maximum(np.abs(a.values), np.abs(b.values)) / m_hat.lambda_sq
-        lap = laplacian_conformal(f, m_hat).values
-    mask = interior_mask(grid) & ~guard & np.isfinite(hess_resid) & np.isfinite(lap)
-    if not mask.any():
-        raise UmbilicOnGrid("no soliton-check nodes survive the umbilic guard")
-    lam_fit = float(np.mean(lap[mask] / 2.0 + K_hat[mask]))
-    lap_resid = float(np.abs(lap[mask] - 2.0 * (lam_fit - K_hat[mask])).max())
-    hess_max = float(hess_resid[mask].max())
-    tol = TOLERANCES["stencil_soliton"] * delta**2
-    return Report(
-        "soliton",
-        {"delta": delta, "nx": grid.nx, "ny": grid.ny},
-        {
-            "hessian_residual": hess_max,
-            "laplacian_residual": lap_resid,
-            "fitted_lambda": lam_fit,
-        },
-        tol,
-        hess_max <= tol and lap_resid <= tol,
-    )
+    return _GridMetric(data, grid).soliton()
 
 
 # ---------------------------------------------------------------------------

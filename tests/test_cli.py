@@ -8,6 +8,8 @@ import pytest
 
 from entropydiff.cli import MAX_GRID_NODES, dumps_json, main
 from entropydiff.geomnum import RectDomain
+from entropydiff.models import catenoid, get_model
+from entropydiff.verify import ecritical_residual, ricci_residual, soliton_check, weighted_entropy_norm
 
 
 def _run(tmp_path, *argv):
@@ -131,6 +133,13 @@ def test_norm_command_catenoid(tmp_path):
     assert abs(doc["norm"] - 2 * math.sqrt(2) * math.pi**4) < 0.3
 
 
+def test_norm_keeps_the_domain_of_a_periodic_surface(tmp_path):
+    code, doc = _run(tmp_path, "norm", "--surface", "catenoid", "--domain", "-1,1,0,1")
+    assert code == 0
+    assert doc["params"]["domain"] == [-1, 1, 0, 1]
+    assert doc["norm"] == weighted_entropy_norm(catenoid().data, RectDomain(-1.0, 1.0, 0.0, 1.0), tol=1e-6)
+
+
 def test_mesh_command(tmp_path):
     obj = tmp_path / "cat.obj"
     side = tmp_path / "cat_side.json"
@@ -160,14 +169,46 @@ def test_json_float_format():
     assert doc["x"] == 1.0 / 3.0
 
 
-def test_threaded_verify_matches_serial(tmp_path, monkeypatch):
-    serial = tmp_path / "serial.json"
-    threaded = tmp_path / "threaded.json"
-    argv = ["verify", "--surface", "catenoid", "--checks", "ricci,ecritical,soliton", "--delta", "0.04"]
-    assert main(argv + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("ENTROPYDIFF_THREADS", "3")
-    assert main(argv + ["--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
+@pytest.mark.parametrize(
+    "surface, domain",
+    [("catenoid", "-1,1,-1,1"), ("helicoid", "-1,1,-1,1"), ("enneper", "1,3,-1,1")],
+)
+def test_one_verify_run_matches_the_checks_one_by_one(tmp_path, surface, domain):
+    # the checks share one metric in a verify run; each function builds its own
+    code, doc = _run(
+        tmp_path, "verify", "--surface", surface, "--domain", domain,
+        "--checks", "ricci,ecritical,soliton", "--delta", "0.04",
+    )
+    assert code == 0
+    data = get_model(surface).data
+    x0, x1, y0, y1 = (float(v) for v in domain.split(","))
+    grid = RectDomain(x0, x1, y0, y1).grid(51, 51)
+    one_by_one = [check(data, grid).to_dict() for check in (ecritical_residual, ricci_residual, soliton_check)]
+    assert doc["reports"] == json.loads(dumps_json(one_by_one))
+
+
+# exp(z^2) has K = 0 exactly at the node z = 0 (an umbilic)
+UMBILIC_AT_NODE = ("verify", "--G", "exp(z^2)", "--h", "1")
+# h = z makes lambda^2 = 0 exactly at the node z = 0 (a branch point)
+BRANCH_POINT_AT_NODE = ("verify", "--G", "1+z", "--h", "z")
+
+
+@pytest.mark.parametrize("check", ["ricci", "ecritical", "soliton"])
+@pytest.mark.parametrize("surface", [UMBILIC_AT_NODE, BRANCH_POINT_AT_NODE], ids=["umbilic", "branch-point"])
+def test_stencil_checks_guard_a_zero_on_a_node(tmp_path, surface, check):
+    code, doc = _run(tmp_path, *surface, "--domain", "-1,1,-1,1", "--delta", "0.05", "--checks", check)
+    assert code == 0
+    assert [r["check"] for r in doc["reports"]] == [check]
+    assert all(math.isfinite(v) for v in doc["reports"][0]["stats"].values())
+
+
+@pytest.mark.parametrize("check", ["ricci", "ecritical", "soliton"])
+def test_stencil_checks_with_every_node_guarded_are_a_numeric_failure(tmp_path, check):
+    # a 9x9 grid: every interior node lies within the guard radius of z = 0
+    argv = (*UMBILIC_AT_NODE, "--domain", "-0.04,0.04,-0.04,0.04", "--delta", "0.01", "--checks", check)
+    code, doc = _run(tmp_path, *argv)
+    assert code == 2
+    assert doc["error"]["code"] == "umbilic-on-grid"
 
 
 def test_numeric_failure_exit_code(tmp_path):
@@ -204,6 +245,7 @@ def test_numeric_failure_exit_code(tmp_path):
         ("norm", "--G", "z", "--h", "1", "--domain", "0,inf,0,1"),
         ("analyze", "--G", "z", "--h", "1", "--domain", "0,inf,0,1"),
         ("mesh", "--G", "z", "--h", "1", "--domain", "0,inf,0,1", "--obj", os.devnull),
+        ("verify", "--surface", "catenoid", "--checks", "ricci,bogus"),
     ],
 )
 def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, monkeypatch, argv):
