@@ -50,7 +50,7 @@ print("\n== curvature decay diagnostic (scale-invariant profile) ==")
 wide = catenoid(x_half_width=2.0)
 mesh = sample_mesh(wide.data, (32, 32), domain=RectDomain(-2, 2, 0, 2 * math.pi))
 neck = np.unravel_index(np.argmin(np.abs(mesh.zs)), mesh.zs.shape)
-prof = curvature_decay_profile(wide.data, mesh, center=mesh.positions[neck])
+prof = curvature_decay_profile(mesh, center=mesh.positions[neck])
 for r, v in prof[::4]:
     print(f"  r = {r:5.2f}: sup |A|^2 |x-c|^2 = {v:6.3f}")
 print("  bounded profile = quadratic extrinsic curvature decay.")

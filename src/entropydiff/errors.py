@@ -72,12 +72,6 @@ class PoleOnCircle(EntropyDiffError, ArithmeticError):
     code = "pole-on-circle"
 
 
-class VanishingSpinor(EntropyDiffError, ArithmeticError):
-    """w1 = 0 at a sample: the Gauss map has a pole there."""
-
-    code = "vanishing-spinor"
-
-
 class GridTooCoarse(EntropyDiffError, ValueError):
     """Fewer grid nodes than the stencil needs."""
 

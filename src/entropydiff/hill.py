@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotUnimodular, PoleAtPoint, PoleOnPath, StepFailure, VanishingSpinor
+from .errors import NotUnimodular, PoleOnPath, StepFailure
 from .geomnum import ConformalMetricField, ScalarField, UniformGrid, interior_stats, laplacian_conformal
 from .jets import AnalyticExpr, Jet, eval_jet, jet_div, jet_mul
 
@@ -83,10 +83,6 @@ class HillSystem:
         w = complex(_wronskian(self.state_at_base))
         if abs(w - 0.5) > _WRONSKIAN_TOL:
             raise ValueError(f"Wronskian must be 1/2, got {w}")
-
-    @property
-    def wronskian(self) -> complex:
-        return complex(_wronskian(self.state_at_base))
 
 
 def canonical_state_mu_nu(mu: float = 1.0, nu: complex = 0j, base: complex = 0j) -> np.ndarray:
@@ -165,7 +161,7 @@ def _position_increments(c: np.ndarray, h: complex) -> np.ndarray:
     return np.stack([s22 - s11, -1j * (s11 + s22), -2.0 * s12])
 
 
-def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, rtol: float, atol: float, observer=None) -> np.ndarray:
+def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, observer=None) -> np.ndarray:
     """Carry states from the points ``z0`` to ``z0 + dz`` by Taylor steps.
 
     ``y`` has one column per point and the rows (w1, w2, w1', w2'),
@@ -173,8 +169,8 @@ def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, rtol: float, ato
     -i (w1^2 + w2^2) and -2 w1 w2.  All columns share each step h: one jet
     of rho at every point gives the series of w, summed for w and w' and
     integrated term by term for the positions.  A step is accepted when the
-    last two terms of each series of w and of w' are within
-    atol + rtol max(|old value|, |new value|), and split otherwise (w alone
+    last two terms of each series of w and of w' are within DEFAULT_ATOL +
+    DEFAULT_RTOL max(|old value|, |new value|), and split otherwise (w alone
     would leave w' off by ~N times that tail near a singularity of rho).
     ``observer(z, y)`` fires at every accepted step.
     """
@@ -189,10 +185,7 @@ def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, rtol: float, ato
         if frac < 1e-14:
             raise StepFailure("step size underflow in Hill integration")
         z = z0 + s * dz
-        try:
-            r = eval_jet(rho, z, _ORDER - 2).coeffs
-        except PoleAtPoint as exc:
-            raise PoleOnPath(f"rho has a pole near z = {z.flat[0]}") from exc
+        r = eval_jet(rho, z, _ORDER - 2).coeffs
         if not np.all(np.isfinite(r)):
             raise PoleOnPath(f"rho is not finite at z = {z[~np.isfinite(r).all(axis=0)][0]}")
         h = frac * dz
@@ -202,7 +195,7 @@ def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, rtol: float, ato
         with np.errstate(all="ignore"):
             new = np.tensordot(weights, c, axes=1).reshape(4, -1)
             tail = np.abs(weights[:, -2:, None, None] * c[-2:]).sum(axis=1).reshape(4, -1)
-            err = float(np.max(tail / (atol + rtol * np.maximum(np.abs(y[:4]), np.abs(new)))))
+            err = float(np.max(tail / (DEFAULT_ATOL + DEFAULT_RTOL * np.maximum(np.abs(y[:4]), np.abs(new)))))
         if err <= 1.0:
             y = np.concatenate([new] + ([y[4:] + _position_increments(c, h)] if len(y) > 4 else []))
             s = 1.0 if last else s + frac
@@ -230,16 +223,12 @@ class PathSolution:
         z, w1, w2, w1p, w2p = self.samples[-1]
         return np.array([[w1, w2], [w1p, w2p]], dtype=np.complex128)
 
-    @property
-    def end_point(self) -> complex:
-        return self.samples[-1][0]
-
-    def states_at(self, points, tol=1e-12):
+    def states_at(self, points):
         """State matrices at the requested sample points (must have been
         recorded, e.g. as path vertices)."""
         out = []
         for p in points:
-            hits = [s for s in self.samples if abs(s[0] - p) <= tol * max(1.0, abs(p))]
+            hits = [s for s in self.samples if abs(s[0] - p) <= 1e-12 * max(1.0, abs(p))]
             if not hits:
                 raise ValueError(f"no recorded sample at {p}")
             z, w1, w2, w1p, w2p = hits[-1]
@@ -247,12 +236,7 @@ class PathSolution:
         return out
 
 
-def integrate_hill(
-    sys: HillSystem,
-    path,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> PathSolution:
+def integrate_hill(sys: HillSystem, path) -> PathSolution:
     """Integrate the fundamental pair along a polyline starting at the base.
 
     Every accepted Taylor step is recorded as a sample.  The Wronskian (a
@@ -275,14 +259,14 @@ def integrate_hill(
         probe = sys.rho.eval(np.linspace(0.0, 1.0, 33) * (b - a) + a)
         if not np.all(np.isfinite(probe)):
             raise PoleOnPath(f"rho has a pole on the segment {a} -> {b}")
-        y = _advance(sys.rho, [a], b - a, y, rtol, atol, observe)
+        y = _advance(sys.rho, [a], b - a, y, observe)
     return sol
 
 
-def rebase(sys: HillSystem, z: complex, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> HillSystem:
+def rebase(sys: HillSystem, z: complex) -> HillSystem:
     """The same global solution pair presented at a new base point
     (integrates along the straight segment base -> z)."""
-    sol = integrate_hill(sys, [sys.base, complex(z)], rtol=rtol, atol=atol)
+    sol = integrate_hill(sys, [sys.base, complex(z)])
     return HillSystem(sys.rho, complex(z), sol.end_state)
 
 
@@ -348,19 +332,14 @@ class ReconstructedSample:
 _SPINOR_TOL = 1e-13
 
 
-def reconstruct_weierstrass(sol: PathSolution, strict: bool = False) -> list[ReconstructedSample]:
+def reconstruct_weierstrass(sol: PathSolution) -> list[ReconstructedSample]:
     """G = w2/w1 and h = -2 w1 w2 at every recorded sample, with the
-    induced metric factor lambda^2 = (|w1|^2 + |w2|^2)^2.
-
-    ``strict`` turns a vanishing spinor (w1 = 0) into an error instead of
-    a flagged sample.
-    """
+    induced metric factor lambda^2 = (|w1|^2 + |w2|^2)^2; a vanishing
+    spinor (w1 = 0) is a flagged sample."""
     out = []
     for z, w1, w2, _, _ in sol.samples:
         scale = max(abs(w1), abs(w2), 1e-300)
         pole = abs(w1) <= _SPINOR_TOL * scale
-        if pole and strict:
-            raise VanishingSpinor(f"w1 vanishes at {z}")
         norm_sq = abs(w1) ** 2 + abs(w2) ** 2
         out.append(
             ReconstructedSample(
@@ -394,13 +373,7 @@ def reconstructed_data_jets(state: np.ndarray, rho: AnalyticExpr, z: complex, or
 # Grid solving and the Liouville residual
 # ---------------------------------------------------------------------------
 
-def solve_on_grid(
-    sys: HillSystem,
-    grid: UniformGrid,
-    with_positions: bool = False,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-):
+def solve_on_grid(sys: HillSystem, grid: UniformGrid, with_positions: bool = False):
     """Fundamental pair (and optional Weierstrass position integrals) on a
     full grid by Taylor steps: to the grid corner, up the left edge, then
     along x with all rows in lockstep (one jet of rho per column and step).
@@ -413,16 +386,16 @@ def solve_on_grid(
     x0 = grid.xs[0]
     # rows (w1, w2, w1', w2'[, I1, I2, I3]); the integrals start at 0 at the corner
     y = np.zeros((7 if with_positions else 4, 1), dtype=np.complex128)
-    y[:4] = _advance(sys.rho, [sys.base], x0 + 1j * grid.ys[0] - sys.base, sys.state_at_base.reshape(4, 1), rtol, atol)
+    y[:4] = _advance(sys.rho, [sys.base], x0 + 1j * grid.ys[0] - sys.base, sys.state_at_base.reshape(4, 1))
     fields = np.empty((len(y), ny, nx), dtype=np.complex128)
     fields[:, 0, 0] = y[:, 0]
     for j in range(1, ny):
-        y = _advance(sys.rho, [x0 + 1j * grid.ys[j - 1]], 1j * (grid.ys[j] - grid.ys[j - 1]), y, rtol, atol)
+        y = _advance(sys.rho, [x0 + 1j * grid.ys[j - 1]], 1j * (grid.ys[j] - grid.ys[j - 1]), y)
         fields[:, j, 0] = y[:, 0]
     y = fields[:, :, 0]
     drift = 0.0
     for i in range(1, nx):
-        y = _advance(sys.rho, grid.xs[i - 1] + 1j * grid.ys, grid.xs[i] - grid.xs[i - 1], y, rtol, atol)
+        y = _advance(sys.rho, grid.xs[i - 1] + 1j * grid.ys, grid.xs[i] - grid.xs[i - 1], y)
         fields[:, :, i] = y
         drift = max(drift, float(np.max(np.abs(y[0] * y[3] - y[1] * y[2] - 0.5))))
 

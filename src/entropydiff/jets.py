@@ -29,6 +29,8 @@ MAX_JET_ORDER = 8
 # removable-singularity cancellation, up to this hard cap.
 _INTERNAL_ORDER_CAP = 24
 
+_NO_POINTS = np.zeros(0, dtype=np.intp)
+
 # Relative threshold below which a leading coefficient counts as vanishing
 # (relative to the largest coefficient magnitude of the same jet).
 _CANCEL_RTOL = 1e-12
@@ -472,29 +474,25 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 
 
 def jet_div(a: Jet, b: Jet) -> Jet:
-    """Truncated quotient a/b.
+    """Truncated quotient a/b, base point by base point.
 
     If the denominator vanishes at the base to some order k and the
     numerator vanishes at least as fast, both are shifted by k (removable
-    singularity) and the quotient loses k orders; the caller-facing
-    :func:`eval_jet` re-evaluates at higher order to make the loss up.
-    Vanishing is judged relative to the largest coefficient magnitude
-    (threshold 1e-12).  A denominator vanishing strictly faster than the
-    numerator is a genuine pole: scalar jets raise PoleAtPoint, array jets
-    mark the offending points NaN so one bad grid node cannot poison a
-    whole field evaluation.
+    singularity) and the quotient loses k orders; :func:`eval_jet`
+    re-evaluates at higher order to make the loss up.  Vanishing is judged
+    relative to the largest coefficient magnitude (threshold 1e-12).  A
+    denominator vanishing to every kept order, or strictly faster than the
+    numerator, makes the quotient NaN at that point, whatever the shape, so
+    one bad node cannot poison a whole field evaluation.
     """
     m = _common_order(a, b)
     shape = np.broadcast_shapes(a.coeffs.shape[1:], b.coeffs.shape[1:])
-    scalar = shape == ()
     ac = np.broadcast_to(a.coeffs[: m + 1], (m + 1,) + shape).copy()
     bc = np.broadcast_to(b.coeffs[: m + 1], (m + 1,) + shape).copy()
 
     amag, bmag = np.abs(ac), np.abs(bc)
     bmax = bmag.max(axis=0)
     poles = ~(bmax > 0.0)  # identically vanishing denominator (or NaN)
-    if np.any(poles) and scalar:
-        raise PoleAtPoint("division by an identically vanishing jet")
     bsig = bmag > _CANCEL_RTOL * np.where(bmax > 0, bmax, 1.0)
     lead_b = np.where(poles, 0, np.argmax(bsig, axis=0))
 
@@ -503,11 +501,8 @@ def jet_div(a: Jet, b: Jet) -> Jet:
         asig = amag > _CANCEL_RTOL * np.where(amax > 0, amax, 1.0)
         lead_a = np.where(asig.any(axis=0), np.argmax(asig, axis=0), m + 1)
         deeper = lead_b > lead_a
-        if np.any(deeper):
-            if scalar:
-                raise PoleAtPoint("denominator vanishes to higher order than numerator")
-            poles = poles | deeper
-            lead_b = np.where(deeper, 0, lead_b)
+        poles = poles | deeper
+        lead_b = np.where(deeper, 0, lead_b)
         kmax = int(lead_b.max())
         if kmax:
             rows = m + 1 - kmax
@@ -518,13 +513,13 @@ def jet_div(a: Jet, b: Jet) -> Jet:
 
     out = np.zeros((m + 1,) + shape, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        b0 = np.where(poles, 1.0, bc[0]) if not scalar else bc[0]
+        b0 = np.where(poles, 1.0, bc[0])
         for n in range(m + 1):
             acc = ac[n]
             for j in range(1, n + 1):
                 acc = acc - bc[j] * out[n - j]
             out[n] = acc / b0
-    if not scalar and np.any(poles):
+    if np.any(poles):
         out[:, poles] = np.nan
     return Jet(a.base, out)
 
@@ -569,36 +564,54 @@ def eval_jet(expr: AnalyticExpr, z, order: int) -> Jet:
     """Taylor jet of ``expr`` at ``z`` up to ``order``.
 
     ``z`` may be a complex scalar or an ndarray of points (the jet then
-    carries one expansion per point).  Removable singularities in divisions
-    are cancelled automatically; a genuine pole raises
-    :class:`~entropydiff.errors.PoleAtPoint`.
+    carries one expansion per point); a scalar is evaluated as a one-point
+    array, so both give the same coefficients.  Removable singularities in
+    divisions are cancelled: when cancellation shortens the jet, the points
+    are evaluated again with that many extra orders, and a point whose value
+    is not finite because a denominator vanished to every kept order is
+    evaluated again at doubling order, up to ``_INTERNAL_ORDER_CAP``, in
+    case that denominator shows a nonzero coefficient deeper.  Each point
+    keeps its first finite value.  A point that stays singular is NaN in an
+    array; a scalar raises :class:`~entropydiff.errors.PoleAtPoint`.
     """
     if order < 0:
         raise OrderOverflow("jet order must be nonnegative")
     if order > MAX_JET_ORDER:
         raise OrderOverflow(f"jet order {order} above the supported maximum {MAX_JET_ORDER}")
     zz = np.asarray(z, dtype=np.complex128)
+    points = zz.reshape(-1)
+    # todo indexes the points without a finite value yet; None until the
+    # first pass that keeps every order, which covers all points
+    coeffs = todo = None
     attempt = order
-    while True:
-        try:
-            jet = _eval_jet_tree(expr, zz, attempt)
-        except PoleAtPoint:
-            # an "identically vanishing" denominator may just be truncated
-            # too short to show its first nonzero coefficient: look deeper
+    while todo is None or todo.size:
+        vanished = []
+        jet = _eval_jet_tree(expr, points if todo is None else points[todo], attempt, vanished)
+        if jet.order < order:
+            deeper = attempt + order - jet.order
+        else:
+            # more orders can help only where a denominator showed none of its own
+            bad = np.flatnonzero(np.any(vanished, axis=0) & ~np.isfinite(jet.coeffs[0])) if vanished else _NO_POINTS
+            if todo is None:
+                coeffs, todo = jet.coeffs[: order + 1], bad
+            else:
+                coeffs[:, todo] = jet.coeffs[: order + 1]
+                todo = todo[bad]
             deeper = min(max(2 * attempt, attempt + 2), _INTERNAL_ORDER_CAP)
-            if deeper == attempt:
-                raise
-            attempt = deeper
-            continue
-        if jet.order >= order:
-            return jet.truncated(order)
-        # Division cancellation ate some orders: re-evaluate with reserve.
-        attempt += order - jet.order
-        if attempt > _INTERNAL_ORDER_CAP:
-            raise PoleAtPoint("cancellation depth exceeded; expression is singular at the point")
+        if deeper == attempt or deeper > _INTERNAL_ORDER_CAP:
+            break
+        attempt = deeper
+    if coeffs is None:
+        coeffs = np.full((order + 1, points.size), np.nan, dtype=np.complex128)
+    coeffs = coeffs.reshape((order + 1,) + zz.shape)
+    if zz.ndim == 0 and np.isnan(coeffs[0]):
+        raise PoleAtPoint(f"expression is singular at {complex(zz)}")
+    return Jet(zz, coeffs)
 
 
-def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int) -> Jet:
+def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list) -> Jet:
+    """The jet of ``expr`` at the points ``z``.  Appends to ``vanished`` a
+    mask of the points where a denominator vanishes to every kept order."""
     kind = expr.kind
     if kind == "const":
         coeffs = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
@@ -611,17 +624,20 @@ def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int) -> Jet:
             coeffs[1] = 1.0
         return Jet(z, coeffs)
     if kind == "add":
-        return jet_add(_eval_jet_tree(expr.args[0], z, order), _eval_jet_tree(expr.args[1], z, order))
+        return jet_add(_eval_jet_tree(expr.args[0], z, order, vanished), _eval_jet_tree(expr.args[1], z, order, vanished))
     if kind == "sub":
-        return jet_sub(_eval_jet_tree(expr.args[0], z, order), _eval_jet_tree(expr.args[1], z, order))
+        return jet_sub(_eval_jet_tree(expr.args[0], z, order, vanished), _eval_jet_tree(expr.args[1], z, order, vanished))
     if kind == "mul":
-        return jet_mul(_eval_jet_tree(expr.args[0], z, order), _eval_jet_tree(expr.args[1], z, order))
+        return jet_mul(_eval_jet_tree(expr.args[0], z, order, vanished), _eval_jet_tree(expr.args[1], z, order, vanished))
     if kind == "div":
-        return jet_div(_eval_jet_tree(expr.args[0], z, order), _eval_jet_tree(expr.args[1], z, order))
+        num, den = _eval_jet_tree(expr.args[0], z, order, vanished), _eval_jet_tree(expr.args[1], z, order, vanished)
+        if not den.coeffs[0].all():
+            vanished.append(~den.coeffs[: num.order + 1].any(axis=0))
+        return jet_div(num, den)
     if kind == "neg":
-        return -_eval_jet_tree(expr.args[0], z, order)
+        return -_eval_jet_tree(expr.args[0], z, order, vanished)
     if kind == "pow":
-        return jet_pow(_eval_jet_tree(expr.args[0], z, order), expr.value)
+        return jet_pow(_eval_jet_tree(expr.args[0], z, order, vanished), expr.value)
     if kind == "exp":
-        return jet_exp(_eval_jet_tree(expr.args[0], z, order))
+        return jet_exp(_eval_jet_tree(expr.args[0], z, order, vanished))
     raise AssertionError(f"unknown node kind {kind!r}")

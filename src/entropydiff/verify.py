@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     NonpositiveCurvature,
+    PoleAtPoint,
     PoleOnCircle,
     UmbilicOnGrid,
     ZeroCurvature,
@@ -497,7 +498,7 @@ def liouville_check(surface: str, grid: UniformGrid) -> Report:
 # Curvature decay diagnostic
 # ---------------------------------------------------------------------------
 
-def curvature_decay_profile(data: WeierstrassData, mesh: SurfaceMesh, center=(0.0, 0.0, 0.0), nradii: int = 16):
+def curvature_decay_profile(mesh: SurfaceMesh, center=(0.0, 0.0, 0.0), nradii: int = 16):
     """Empirical decay profile: (r, sup over |x-center| <= r of the
     scale-invariant quantity |A(x)|^2 |x-center|^2).
 
@@ -559,7 +560,8 @@ def hill_round_trip(rho: AnalyticExpr, n_samples: int = 50, reach: complex = 1.0
     Integrates a Wronskian-1/2 system (``state`` or the canonical linear
     one) from 0 along a straight path subdivided at the sample points; at
     each, (G, h) jets follow from the Hill states and the recovered rho is
-    compared with the input.
+    compared with the input.  A sample where the recovered rho is not
+    finite (a zero of w1 or of w2 there) raises PoleAtPoint.
     """
     if state is None:
         state = canonical_state_mu_nu(1.0, 0.1)
@@ -570,8 +572,10 @@ def hill_round_trip(rho: AnalyticExpr, n_samples: int = 50, reach: complex = 1.0
     worst = 0.0
     for zp in pts:
         st = sol.states_at([zp])[0]
-        jG, jh = reconstructed_data_jets(st, rho, zp)
-        worst = max(worst, abs(complex(rho_from_jets(jG, jh)) - rho.eval(zp)))
+        recovered = complex(rho_from_jets(*reconstructed_data_jets(st, rho, zp)))
+        if not np.isfinite(recovered):
+            raise PoleAtPoint(f"the rho recovered from the spinors is undefined at {zp}")
+        worst = max(worst, abs(recovered - rho.eval(zp)))
     tol = TOLERANCES["round_trip_rho"]
     ok = worst <= tol and sol.wronskian_drift <= TOLERANCES["wronskian_drift"]
     return Report(

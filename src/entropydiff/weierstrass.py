@@ -24,8 +24,9 @@ rho, a double pole (|T| = inf), while |T-hat| comes from the circle mean
 of the holomorphic product q^2 rho.
 
 Field functions (suffix ``_fields``/``_field``) evaluate whole grids of
-points at once and mark failures with NaN; the sample functions take one
-point and raise instead.
+points at once and mark failures with NaN; the sample functions evaluate
+one point as a one-point array, so they return what the field views give
+there, and raise where those are NaN.
 """
 
 from __future__ import annotations
@@ -351,37 +352,38 @@ def norm_fields(data: WeierstrassData, z):
 
 
 def _at_point(data: WeierstrassData, z) -> SurfaceFields:
+    """The fields on the one-point array [z], so that a sample is what the
+    field views give at z."""
     if not data.contains(z):
         raise ValueError(f"{z} outside the data domain")
-    return SurfaceFields(data, complex(z))
+    return SurfaceFields(data, [complex(z)])
 
 
 def _hopf_at(f: SurfaceFields) -> complex:
-    q = complex(f.q)
-    if not np.isfinite(q.real) or not np.isfinite(q.imag):
-        raise PoleAtPoint(f"Hopf coefficient undefined at {f.z}")
+    q = complex(f.q[0])
+    if not np.isfinite(q):
+        raise PoleAtPoint(f"Hopf coefficient undefined at {f.z[0]}")
     return q
 
 
 def _entropy_at(f: SurfaceFields) -> complex:
     if abs(_hopf_at(f)) <= _UMBILIC_RTOL:  # raises PoleAtPoint on data poles
-        raise UmbilicPoint(f"umbilic point at {f.z}: entropy differential has a double pole")
-    rho = complex(f.rho)
-    if not (np.isfinite(rho.real) and np.isfinite(rho.imag)):
-        raise PoleAtPoint(f"entropy coefficient undefined at {f.z}")
+        raise UmbilicPoint(f"umbilic point at {f.z[0]}: entropy differential has a double pole")
+    rho = complex(f.rho[0])
+    if not np.isfinite(rho):
+        raise PoleAtPoint(f"entropy coefficient undefined at {f.z[0]}")
     return rho
 
 
 def metric_sample(data: WeierstrassData, z: complex) -> MetricSample:
     """Metric, curvature, u and |A|^2 at a single point."""
     mf = _at_point(data, z).metric
-    lam2 = float(mf["lambda_sq"])
+    lam2, K, u = (float(mf[k][0]) for k in ("lambda_sq", "K", "u"))
     if not np.isfinite(lam2) or lam2 <= 0.0 or lam2 < 1e-280:
         raise DegeneratePoint(f"conformal factor degenerates at {z}")
-    K = float(mf["K"])
     if not np.isfinite(K):
         raise PoleAtPoint(f"curvature undefined at {z}")
-    return MetricSample(z=complex(z), lambda_sq=lam2, K=K, u=float(mf["u"]), A_norm_sq=-2.0 * K)
+    return MetricSample(z=complex(z), lambda_sq=lam2, K=K, u=u, A_norm_sq=-2.0 * K)
 
 
 def hopf_coefficient(data: WeierstrassData, z: complex) -> complex:
@@ -393,7 +395,8 @@ def entropy_coefficient(data: WeierstrassData, z: complex) -> complex:
 
     Raises UmbilicPoint where the Hopf coefficient vanishes (rho has a
     double pole there; use verify.pole_probe for those) and PoleAtPoint
-    where the data itself is singular.
+    where rho is singular even after recovery (a genuine pole of the data;
+    a Gauss-map pole of a regular surface is recovered).
     """
     return _entropy_at(_at_point(data, z))
 
@@ -408,11 +411,11 @@ def entropy_form_norms(data: WeierstrassData, z: complex):
     """(|T|_g, |T-hat|_g) at one point; |T| is inf at umbilics where the
     continuous extension applies only to |T-hat|."""
     f = _at_point(data, z)
-    lam2 = f.metric["lambda_sq"]
+    lam2 = f.metric["lambda_sq"][0]
     if not np.isfinite(lam2) or lam2 <= 0:
         raise DegeneratePoint(f"metric degenerates at {z}")
     T, That = f.norms
-    return float(T), float(That)
+    return float(T[0]), float(That[0])
 
 
 def schwarzian(G: AnalyticExpr, z) -> complex:

@@ -202,13 +202,13 @@ def test_criterion_9_decay_diagnostic_substitutes():
     cat = catenoid(x_half_width=2.0)
     mesh = sample_mesh(cat.data, (32, 32), domain=RectDomain(-2, 2, 0, 2 * np.pi))
     neck = np.unravel_index(np.argmin(np.abs(mesh.zs)), mesh.zs.shape)
-    prof_c = curvature_decay_profile(cat.data, mesh, center=mesh.positions[neck])
+    prof_c = curvature_decay_profile(mesh, center=mesh.positions[neck])
     assert max(v for _, v in prof_c) < 10.0
 
     enn = enneper(half_width=2.0)
     mesh_e = sample_mesh(enn.data, (32, 32), domain=RectDomain.square(2.0))
     mid = np.unravel_index(np.argmin(np.abs(mesh_e.zs)), mesh_e.zs.shape)
-    prof_e = curvature_decay_profile(enn.data, mesh_e, center=mesh_e.positions[mid])
+    prof_e = curvature_decay_profile(mesh_e, center=mesh_e.positions[mid])
     assert max(v for _, v in prof_e) < 50.0
     _report(9, f"decay profiles bounded: catenoid sup {max(v for _, v in prof_c):.2f}, "
                f"Enneper sup {max(v for _, v in prof_e):.2f} (estimate itself out of scope)")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entropydiff import jets
 from entropydiff.errors import ExpressionParseError, OrderOverflow, PoleAtPoint
 from entropydiff.jets import (
     MAX_JET_ORDER,
@@ -54,10 +55,14 @@ def test_jet_exp_of_identity():
 
 
 def test_true_pole_raises():
-    with pytest.raises(PoleAtPoint):
-        eval_jet(const(1.0) / Z, 0.0, 2)
-    with pytest.raises(PoleAtPoint):
-        eval_jet(Z / Z**2, 0.0, 1)
+    # a scalar raises; in an array the pole is NaN and the other points keep their values
+    for e in (const(1.0) / Z, Z / Z**2):
+        for order in range(4):
+            with pytest.raises(PoleAtPoint):
+                eval_jet(e, 0.0, order)
+            jet = eval_jet(e, np.array([0.5, 0.0]), order)
+            assert np.all(np.isnan(jet.coeffs[:, 1]))
+            np.testing.assert_array_equal(jet.coeffs[:, 0], eval_jet(e, 0.5, order).coeffs)
 
 
 def test_order_overflow():
@@ -127,6 +132,51 @@ def test_first_derivative_matches_central_difference():
         fd = (e.eval(z + delta) - e.eval(z - delta)) / (2 * delta)
         scale = max(1.0, abs(fd))
         assert abs(jet.derivative(1) - fd) < 1e-6 * scale
+
+
+def _removable_forms(f, z0, rng):
+    """f wrapped in removable singularities at z0: (e^w - 1)/w, w f / w and
+    w^k / w^k with w = z - z0."""
+    w = Z - const(z0)
+    k = int(rng.integers(1, 5))
+    return f * ((exp(w) - 1.0) / w), (w * f) / w, f * (w**k / w**k)
+
+
+def test_scalar_and_array_jets_agree_at_removable_points():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        f = _random_expr(rng)
+        z0 = complex(rng.normal(), rng.normal()) * 0.5
+        others = z0 + 0.3 * np.exp(2j * np.pi * rng.random(3))
+        zs = np.concatenate([others[:1], [z0], others[1:]])
+        for e in _removable_forms(f, z0, rng):
+            for order in range(4):
+                point = eval_jet(e, z0, order).coeffs
+                grid = eval_jet(e, zs, order).coeffs
+                assert np.all(np.isfinite(point)), (str(e), order)
+                np.testing.assert_array_equal(grid[:, 1], point, err_msg=f"{e} at order {order}")
+                np.testing.assert_allclose(point[0], f.eval(z0), rtol=1e-9, atol=1e-12)
+
+
+def test_only_vanishing_denominators_are_deepened(monkeypatch):
+    # exp overflows at x = 800: that point stays NaN after one pass, while
+    # (e^z - 1)/z at 0 needs a second pass at order 2
+    overflow, removable = (exp(Z) + 1.0) / (exp(Z) + 2.0), (exp(Z) - 1.0) / Z
+    passes = []
+    tree = jets._eval_jet_tree
+
+    def counted(expr, z, *rest):
+        if expr is overflow or expr is removable:
+            passes.append(z.size)
+        return tree(expr, z, *rest)
+
+    monkeypatch.setattr(jets, "_eval_jet_tree", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = eval_jet(overflow, np.array([800.0, 0.5]), 3)
+        assert passes == [2] and np.isnan(jet.coeffs[0, 0]) and np.isfinite(jet.coeffs[0, 1])
+        passes.clear()
+        eval_jet(removable, np.array([800.0, 0.0, 0.5]), 0)
+        assert passes == [3, 1]
 
 
 def _random_jet(rng, order=4):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from entropydiff.errors import NonpositiveCurvature, ZeroCurvature
+from entropydiff.errors import NonpositiveCurvature, PoleAtPoint, ZeroCurvature
 from entropydiff.geomnum import ConformalMetricField, RectDomain
 from entropydiff.jets import Z, const
 from entropydiff.models import catenoid, deformed_catenoid, enneper, helicoid
@@ -223,7 +223,7 @@ def test_curvature_decay_profile():
     mesh = sample_mesh(cat.data, (32, 32), domain=RectDomain(-2, 2, 0, 2 * np.pi))
     # positions anchor at the grid corner; center the profile on the neck
     neck = np.unravel_index(np.argmin(np.abs(mesh.zs)), mesh.zs.shape)
-    prof = curvature_decay_profile(cat.data, mesh, center=mesh.positions[neck])
+    prof = curvature_decay_profile(mesh, center=mesh.positions[neck])
     assert all(v >= 0 for _, v in prof)
     # plateaus at |A|^2(neck) x (neck diameter)^2 = 8: quadratic decay
     assert max(v for _, v in prof) < 10.0
@@ -231,7 +231,7 @@ def test_curvature_decay_profile():
     flat_mesh = sample_mesh(
         WeierstrassData(const(0.5) + 0 * Z, const(1.0), RectDomain.square(1.0)), (8, 8)
     )
-    prof0 = curvature_decay_profile(None, flat_mesh)
+    prof0 = curvature_decay_profile(flat_mesh)
     assert max(v for _, v in prof0) < 1e-20
 
 
@@ -286,3 +286,13 @@ def test_report_json_schema():
     d = rep.to_dict()
     assert set(d) == {"check", "params", "stats", "tol", "pass"}
     assert d["pass"] is True
+
+
+@pytest.mark.parametrize("spinor", ["w1", "w2"])
+def test_hill_round_trip_raises_at_a_spinor_zero(spinor):
+    # rho = 0: w1 = z - z0 (a Gauss-map pole) or w2 = (z - z0)/2 (G = 0)
+    # vanishes at the 4th sample z0, where the recovered rho is not finite
+    z0 = complex(np.linspace(0.15, 1.0, 50)[3] * (1.0 + 0.8j))
+    state = [[-z0, -0.5], [1.0, 0.0]] if spinor == "w1" else [[1.0, -z0 / 2], [0.0, 0.5]]
+    with pytest.raises(PoleAtPoint):
+        hill_round_trip(const(0.0), state=np.array(state))

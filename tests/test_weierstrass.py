@@ -6,7 +6,9 @@ import pytest
 from entropydiff.errors import PoleAtPoint, UmbilicPoint
 from entropydiff.geomnum import RectDomain
 from entropydiff.jets import Z, const, exp, parse_expression
+from entropydiff.models import deformed_catenoid
 from entropydiff.weierstrass import (
+    SurfaceFields,
     WeierstrassData,
     entropy_coefficient,
     entropy_field,
@@ -239,3 +241,21 @@ def test_data_pole_raises():
     bad = WeierstrassData(const(1.0) / Z, const(1.0), RectDomain.square(1.0))
     with pytest.raises(PoleAtPoint):
         hopf_coefficient(bad, 0.0)
+
+
+def test_samples_at_a_gauss_map_pole_equal_the_fields():
+    # G of C_t has a pole at z = -log t, where h vanishes: the surface is
+    # regular there, and P = Q/2 holds with q = rho = -1
+    t = 0.4
+    data = deformed_catenoid(t).data
+    z = -np.log(t)
+    fields = SurfaceFields(data, np.array([z - 0.3j, z, z + 0.2]))
+    sample = metric_sample(data, z)
+    for key in ("lambda_sq", "K", "u"):
+        assert getattr(sample, key) == fields.metric[key][1]
+    assert hopf_coefficient(data, z) == fields.q[1]
+    assert entropy_coefficient(data, z) == fields.rho[1]
+    assert entropy_form_norms(data, z) == (fields.norms[0][1], fields.norms[1][1])
+    assert abs(sample.K - -0.82270247) < 1e-8
+    assert abs(hopf_coefficient(data, z) + 1.0) < 1e-9
+    assert abs(entropy_coefficient(data, z) + 1.0) < 1e-9
