@@ -234,8 +234,9 @@ def cmd_analyze(args) -> dict:
             "K_min": float(finiteK.min()),
             "K_max": float(finiteK.max()),
             "max_abs_rho": float(finite_rho.max()) if finite_rho.size else None,
-            "max_T_norm": float(np.nanmax(np.where(np.isfinite(T), T, np.nan))),
-            "max_That_norm": float(np.nanmax(np.where(np.isfinite(That), That, np.nan))),
+            # fmax/fmin skip NaN as nanmax/nanmin do, but give NaN for all-NaN without a warning
+            "max_T_norm": float(np.fmax.reduce(np.where(np.isfinite(T), T, np.nan), axis=None)),
+            "max_That_norm": float(np.fmax.reduce(np.where(np.isfinite(That), That, np.nan), axis=None)),
         },
         "fields": {
             "lambda_sq": mf["lambda_sq"],
@@ -367,7 +368,7 @@ def cmd_mesh(args) -> dict:
         "obj": args.obj,
         "vertices": int(mesh.vertex_count),
         "faces": int(mesh.faces.shape[0]),
-        "K_min": float(np.nanmin(mesh.K)),
+        "K_min": float(np.fmin.reduce(mesh.K, axis=None)),
     }
     if args.sidecar:
         write_sidecar(mesh, args.sidecar)

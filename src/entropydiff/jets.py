@@ -478,12 +478,24 @@ def jet_div(a: Jet, b: Jet) -> Jet:
 
     If the denominator vanishes at the base to some order k and the
     numerator vanishes at least as fast, both are shifted by k (removable
-    singularity) and the quotient loses k orders; :func:`eval_jet`
-    re-evaluates at higher order to make the loss up.  Vanishing is judged
-    relative to the largest coefficient magnitude (threshold 1e-12).  A
-    denominator vanishing to every kept order, or strictly faster than the
-    numerator, makes the quotient NaN at that point, whatever the shape, so
-    one bad node cannot poison a whole field evaluation.
+    singularity) and the quotient loses k orders; the jet is cut to the
+    shortest order over its base points, and :func:`eval_jet` re-evaluates
+    at higher order to make the loss up.  Vanishing is judged relative to
+    the largest coefficient magnitude (threshold 1e-12).  A denominator
+    vanishing to every kept order, or strictly faster than the numerator,
+    makes the quotient NaN at that point, whatever the shape, so one bad
+    node cannot poison a whole field evaluation.
+    """
+    coeffs, shift = quotient_coeffs(a, b)
+    return Jet(a.base, coeffs[: len(coeffs) - int(shift.max(initial=0))])
+
+
+def quotient_coeffs(a: Jet, b: Jet):
+    """(coeffs, shift): the quotient a/b to the common order of a and b,
+    and the orders each base point lost to a removable zero of b.
+
+    A point that lost k orders has NaN in its last k rows; every other
+    point keeps its full jet.  :func:`jet_div` cuts the whole jet instead.
     """
     m = _common_order(a, b)
     shape = np.broadcast_shapes(a.coeffs.shape[1:], b.coeffs.shape[1:])
@@ -505,11 +517,11 @@ def jet_div(a: Jet, b: Jet) -> Jet:
         lead_b = np.where(deeper, 0, lead_b)
         kmax = int(lead_b.max())
         if kmax:
-            rows = m + 1 - kmax
-            idx = np.arange(rows).reshape((rows,) + (1,) * len(shape)) + lead_b[None, ...]
-            ac = np.take_along_axis(ac, np.broadcast_to(idx, (rows,) + shape), axis=0)
-            bc = np.take_along_axis(bc, np.broadcast_to(idx, (rows,) + shape), axis=0)
-            m = rows - 1
+            pad = np.full((kmax,) + shape, np.nan, dtype=np.complex128)
+            idx = np.arange(m + 1).reshape((m + 1,) + (1,) * len(shape)) + lead_b[None, ...]
+            idx = np.broadcast_to(idx, (m + 1,) + shape)
+            ac = np.take_along_axis(np.concatenate([ac, pad]), idx, axis=0)
+            bc = np.take_along_axis(np.concatenate([bc, pad]), idx, axis=0)
 
     out = np.zeros((m + 1,) + shape, dtype=np.complex128)
     with np.errstate(all="ignore"):
@@ -521,7 +533,7 @@ def jet_div(a: Jet, b: Jet) -> Jet:
             out[n] = acc / b0
     if np.any(poles):
         out[:, poles] = np.nan
-    return Jet(a.base, out)
+    return out, lead_b
 
 
 def jet_exp(a: Jet) -> Jet:
@@ -573,6 +585,8 @@ def eval_jet(expr: AnalyticExpr, z, order: int) -> Jet:
     case that denominator shows a nonzero coefficient deeper.  Each point
     keeps its first finite value.  A point that stays singular is NaN in an
     array; a scalar raises :class:`~entropydiff.errors.PoleAtPoint`.
+    Overflow and division by zero give inf/NaN silently, as in
+    :meth:`AnalyticExpr.eval`.
     """
     if order < 0:
         raise OrderOverflow("jet order must be nonnegative")
@@ -586,7 +600,8 @@ def eval_jet(expr: AnalyticExpr, z, order: int) -> Jet:
     attempt = order
     while todo is None or todo.size:
         vanished = []
-        jet = _eval_jet_tree(expr, points if todo is None else points[todo], attempt, vanished)
+        with np.errstate(all="ignore"):  # overflow and poles surface as inf/NaN
+            jet = _eval_jet_tree(expr, points if todo is None else points[todo], attempt, vanished)
         if jet.order < order:
             deeper = attempt + order - jet.order
         else:

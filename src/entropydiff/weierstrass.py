@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import CriticalPoint, DegeneratePoint, PoleAtPoint, UmbilicPoint
 from .geomnum import RectDomain
-from .jets import AnalyticExpr, const, eval_jet, jet_div, jet_mul
+from .jets import AnalyticExpr, Jet, const, eval_jet, jet_div, jet_mul, quotient_coeffs
 
 __all__ = [
     "WeierstrassData",
@@ -180,16 +180,17 @@ def _jets(data: WeierstrassData, z):
 
 
 def _parts(jG, jh):
-    """(q, h/G, hG), with removable quotients cancelled by the jets.
+    """q and the jets of h/G and hG (to the order of jh), with removable
+    quotients cancelled by the jets.
 
     All three are holomorphic wherever the data describes an immersion
-    (h/G = -2 w1^2 and hG = -2 w2^2 in spinor terms).
+    (h/G = -2 w1^2 and hG = -2 w2^2 in spinor terms).  Where G vanishes,
+    h/G keeps its value but not the orders the cancellation cost.
     """
     with np.errstate(all="ignore"):
         q = -jet_div(jet_mul(jh, jG.derivative_jet()), jG).value
-        r = jet_div(jh, jG).value
-        p = jet_mul(jh, jG).value
-    return tuple(np.asarray(v, dtype=np.complex128) for v in (q, r, p))
+        r = Jet(jh.base, quotient_coeffs(jh, jG)[0])
+        return q, r, jet_mul(jh, jG)
 
 
 def _derivatives(jG, jh):
@@ -227,6 +228,7 @@ def _circle_means(data: WeierstrassData, centers: np.ndarray) -> np.ndarray:
     pts = centers[:, None] + _CIRCLE_RADIUS * np.exp(1j * _THETA)
     jG, jh = _jets(data, pts)
     q, r, p = _parts(jG, jh)
+    r, p = r.value, p.value
     rho, largest = _rho_and_scale(jG, jh)
     with np.errstate(all="ignore"):
         vals = np.stack([q, r, p, rho, q**2 * rho])
@@ -242,9 +244,9 @@ class SurfaceFields:
     """Every first-order field of (G, h) on one point set, from one jet pass.
 
     ``G``, ``q``, ``h_over_G`` and ``hG`` are set on construction;
-    ``metric`` (the dict of :func:`metric_fields`), ``rho`` and ``norms``
-    (|T|, |T-hat|) are derived on first access.  Recovered nodes are
-    filled in throughout.
+    ``metric`` (the dict of :func:`metric_fields`), ``rho``, ``norms``
+    (|T|, |T-hat|) and ``form_jets`` are derived on first access.
+    Recovered nodes are filled in throughout, except in ``form_jets``.
     """
 
     def __init__(self, data: WeierstrassData, z):
@@ -252,7 +254,8 @@ class SurfaceFields:
         self.z = np.asarray(z, dtype=np.complex128)
         self._jG, self._jh = _jets(data, self.z)
         self.G = self._jG.value
-        self._direct = q, r, p = _parts(self._jG, self._jh)
+        q, self._r, self._p = _parts(self._jG, self._jh)
+        self._direct = q, r, p = q, self._r.value, self._p.value
         self._singular = ~(np.isfinite(q) & np.isfinite(r) & np.isfinite(p))
         qscale = max(float(np.abs(q[~self._singular]).max(initial=0.0)), 1.0)
         self._umbilic = ~self._singular & (np.abs(q) <= _UMBILIC_RTOL * qscale)
@@ -283,6 +286,21 @@ class SurfaceFields:
             old = out[nodes]
             out[nodes] = np.where(np.isfinite(mean), mean, np.where(np.isfinite(old), old, np.nan))
         return out
+
+    @cached_property
+    def form_jets(self):
+        """Jets of h/G, hG and h to order 2 at every node: the coefficients
+        of the Weierstrass 1-forms and their first two derivatives, direct
+        (not recovered).  Where h/G has a value but lost orders to a
+        vanishing G, they are filled in at those nodes alone, by a jet of
+        the expression h/G there."""
+        r = self._r
+        short = np.isfinite(r.value) & ~np.isfinite(r.coeffs).all(axis=0)
+        if short.any():
+            r = Jet(r.base, r.coeffs.copy())
+            fill = eval_jet(self._data.h / self._data.G, self.z[short], r.order).coeffs
+            r.coeffs[:, short] = np.where(np.isfinite(r.coeffs[:, short]), r.coeffs[:, short], fill)
+        return r, self._p, self._jh
 
     @cached_property
     def metric(self) -> dict:

@@ -3,12 +3,14 @@
 import json
 import math
 import os
+import warnings
 
+import numpy as np
 import pytest
 
 from entropydiff.cli import MAX_GRID_NODES, dumps_json, main
 from entropydiff.geomnum import RectDomain
-from entropydiff.models import catenoid, get_model
+from entropydiff.models import catenoid, deformed_catenoid, get_model
 from entropydiff.verify import ecritical_residual, ricci_residual, soliton_check, weighted_entropy_norm
 
 
@@ -259,6 +261,38 @@ def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, mon
     code, doc = _run(tmp_path, *argv)
     assert code == 1
     assert doc["error"]["code"] == "bad-input"
+
+
+def test_mesh_command_at_bench_size_matches_closed_form(tmp_path):
+    # at 256^2 nearly every edge takes the Hermite rule (t = 0.4114 sends a
+    # few to the adaptive engine); 9 printed digits bound the OBJ at 1e-7
+    obj, side = tmp_path / "ct.obj", tmp_path / "ct.json"
+    code, doc = _run(
+        tmp_path, "mesh", "--surface", "deformed-catenoid", "--t", "0.4114", "--grid", "256x256",
+        "--obj", str(obj), "--sidecar", str(side),
+    )
+    assert code == 0 and doc["vertices"] == 256 * 256
+    model = deformed_catenoid(0.4114)
+    grid = model.data.domain.grid(256, 256)
+    origin = model.closed_form(grid.xs[0], grid.ys[0])
+    ref = np.array([model.closed_form(x, y) - origin for y in grid.ys for x in grid.xs])
+    with open(obj) as fh:
+        got = np.array([line.split()[1:] for line in fh if line.startswith("v ")], dtype=np.float64)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-7 * max(1.0, np.abs(ref).max())
+    assert len(json.loads(side.read_text())["K"]) == 256 * 256
+
+
+def test_analyze_far_out_raises_no_numpy_warning(tmp_path):
+    # exp overflows at every node: all fields null, the summaries null, no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = _run(
+            tmp_path, "analyze", "--surface", "deformed-catenoid", "--t", "0.4",
+            "--domain", "700,800,0,6", "--grid", "16x16",
+        )
+    assert code == 0
+    assert doc["summary"]["max_T_norm"] is None and doc["summary"]["max_That_norm"] is None
 
 
 def test_node_limit_admits_a_grid_at_the_limit(tmp_path, monkeypatch):

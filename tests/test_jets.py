@@ -15,6 +15,7 @@ from entropydiff.jets import (
     jet_exp,
     jet_mul,
     parse_expression,
+    quotient_coeffs,
 )
 
 
@@ -41,6 +42,21 @@ def test_removable_singularity_division():
     # z^2 / z at 0 is z; the requested order survives the cancellation.
     jet = eval_jet(Z**2 / Z, 0.0, 2)
     np.testing.assert_allclose(jet.coeffs, [0.0, 1.0, 0.0], rtol=0, atol=1e-15)
+
+
+def test_quotient_keeps_every_order_away_from_a_removable_zero():
+    # z e^z / z: only the node at 0 loses an order to the cancellation
+    z = np.array([0.0, 0.5, 1.0 + 1.0j])
+    num, den = eval_jet(Z * exp(Z), z, 3), eval_jet(Z, z, 3)
+    coeffs, shift = quotient_coeffs(num, den)
+    assert shift.tolist() == [1, 0, 0]
+    np.testing.assert_allclose(coeffs[:, 1:], eval_jet(exp(Z), z[1:], 3).coeffs, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(coeffs[:3, 0], [1.0, 1.0, 0.5], rtol=0, atol=1e-15)
+    assert np.isnan(coeffs[3, 0])
+    # jet_div cuts the whole jet to the shortest order, with the same rows
+    cut = jet_div(num, den)
+    assert cut.order == 2
+    np.testing.assert_array_equal(cut.coeffs, coeffs[:3])
 
 
 def test_exp_times_exp_inverse_is_one():

@@ -8,9 +8,11 @@ import pytest
 from entropydiff.errors import PoleOnPath
 from entropydiff.geomnum import RectDomain
 from entropydiff.hill import HillSystem, canonical_state_mu_nu, solve_on_grid
-from entropydiff.jets import Z, const
+from entropydiff import surface
+from entropydiff.jets import Z, const, eval_jet
 from entropydiff.models import catenoid, deformed_catenoid, enneper, helicoid
 from entropydiff.surface import (
+    SEGMENT_TOL,
     immersion_point,
     inverse_stereographic,
     period_vector,
@@ -166,3 +168,66 @@ def test_obj_and_sidecar_export(tmp_path):
     assert doc["nx"] == 8 and doc["ny"] == 8
     assert len(doc["K"]) == 64 and len(doc["T_norm"]) == 64 and len(doc["That_norm"]) == 64
     np.testing.assert_allclose(doc["K"], mesh.K.reshape(-1), rtol=1e-12)
+
+
+def _record_fallback(monkeypatch):
+    """Replace the adaptive edge quadrature by a wrapper that records the
+    (start, end) of every edge sent to it."""
+    edges = []
+    adaptive = surface._edge_integrals
+
+    def record(f, za, zb, tol):
+        edges.extend(zip(za.tolist(), zb.tolist()))
+        return adaptive(f, za, zb, tol)
+
+    monkeypatch.setattr(surface, "_edge_integrals", record)
+    return edges
+
+
+def _closed_form_positions(model, grid):
+    xs, ys = grid.xs, grid.ys
+    origin = model.closed_form(xs[0], ys[0])
+    return np.array([[model.closed_form(x, y) - origin for x in xs] for y in ys])
+
+
+def _hermite_estimates(data, zs):
+    """(start, end, max |I5 - I3|) of the bottom-row and vertical edges,
+    with the integrand's derivatives from jets of the data's expressions."""
+    r, p, h = (eval_jet(e, zs, 2) for e in (data.h / data.G, data.h * data.G, data.h))
+    # f^(k) at every node, components last
+    f = [np.stack([0.5 * (r.derivative(k) - p.derivative(k)),
+                   0.5j * (r.derivative(k) + p.derivative(k)),
+                   h.derivative(k)], axis=-1) for k in range(3)]
+
+    def estimate(a, b):
+        d = (zs[b] - zs[a])[..., None]
+        dI = d**2 * (f[1][a] - f[1][b]) / 60.0 + d**3 * (f[2][a] + f[2][b]) / 120.0
+        return zs[a].ravel(), zs[b].ravel(), np.abs(dI).max(axis=-1).ravel()
+
+    bottom = estimate((0, slice(None, -1)), (0, slice(1, None)))
+    columns = estimate(slice(None, -1), slice(1, None))
+    return [np.concatenate(v) for v in zip(bottom, columns)]
+
+
+@pytest.mark.parametrize("t, fallback", [(0.3161, False), (0.4114, True)])
+def test_ct_mesh_by_hermite_rule_matches_closed_form(monkeypatch, t, fallback):
+    model = deformed_catenoid(t)
+    edges = _record_fallback(monkeypatch)
+    mesh = sample_mesh(model.data, (256, 256))
+    np.testing.assert_allclose(mesh.positions, _closed_form_positions(model, mesh.grid), rtol=0, atol=1e-9)
+    # the adaptive engine gets exactly the edges whose estimate exceeds the tolerance
+    za, zb, est = _hermite_estimates(model.data, mesh.zs)
+    over = ~(est <= SEGMENT_TOL)
+    assert len(set(edges)) == len(edges) == over.sum()
+    assert set(edges) == set(zip(za[over].tolist(), zb[over].tolist()))
+    assert (len(edges) > 0) == fallback
+
+
+def test_enneper_mesh_takes_the_hermite_rule_through_a_zero_of_G(monkeypatch):
+    # G = h = z: the grid node z = 0 cuts h/G short by one order
+    model = enneper()
+    edges = _record_fallback(monkeypatch)
+    mesh = sample_mesh(model.data, (21, 21), domain=RectDomain(-1, 1, -1, 1))
+    assert mesh.zs[10, 10] == 0
+    np.testing.assert_allclose(mesh.positions, _closed_form_positions(model, mesh.grid), rtol=0, atol=1e-13)
+    assert edges == []
