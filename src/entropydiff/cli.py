@@ -9,8 +9,8 @@ Surfaces come either from the catalog (--surface NAME [--t T | --mu MU])
 or from expression strings (--G EXPR --h EXPR --domain x0,x1,y0,y1).
 Reports are JSON (schema 1) with floats printed to 17 significant digits
 and fixed key order, so identical configs produce byte-identical files.
-Exit codes: 0 success, 1 bad input (a grid over MAX_GRID_NODES too), 2
-numeric failure.
+Exit codes: 0 success, 1 bad input (expressions that do not parse, grids
+over MAX_GRID_NODES, samples over MAX_SAMPLES too), 2 numeric failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .errors import DegeneratePoint, EntropyDiffError
+from .errors import DegeneratePoint, EntropyDiffError, ExpressionParseError
 from .geomnum import RectDomain
 from .hill import (
     HOPF_SIGN_CONVENTION,
@@ -42,6 +42,7 @@ from .weierstrass import SurfaceFields, WeierstrassData
 SCHEMA_VERSION = 1
 T_CLAMP = 1e-3
 MAX_GRID_NODES = 1 << 20  # 1024x1024; analyze at 512x512 peaks near 250 MB
+MAX_SAMPLES = 10_000  # reconstruct --samples; about 2 s and 16 MB of JSON
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +155,7 @@ def _positive(name: str, value: float) -> float:
 
 
 def _parse_complex(text: str) -> complex:
-    try:
-        return complex(parse_expression(text).eval(0.0))
-    except EntropyDiffError as exc:
-        raise BadInput(f"bad complex literal {text!r}") from exc
+    return complex(parse_expression(text).eval(0.0))
 
 
 def _surface_from_args(args) -> tuple[WeierstrassData, dict]:
@@ -273,6 +271,9 @@ def cmd_reconstruct(args) -> dict:
     sys_, params = _reconstruct_system(args)
     dom = _parse_domain(args.domain) if args.domain else RectDomain(-1.0, 1.0, -1.0, 1.0)
     nsamp = _positive("--samples", args.samples)
+    if nsamp > MAX_SAMPLES:
+        raise BadInput(f"--samples {nsamp} is over the limit of {MAX_SAMPLES}")
+    nx, ny = _parse_grid(args.grid)
     reach = complex(dom.x1, dom.y1) * 0.9
     pts = [reach * t for t in np.linspace(1.0 / nsamp, 1.0, nsamp)]
     sol = integrate_hill(sys_, [0.0] + pts)
@@ -299,7 +300,6 @@ def cmd_reconstruct(args) -> dict:
         "samples": sample_rows,
     }
     if args.obj:
-        nx, ny = _parse_grid(args.grid)
         grid = dom.grid(nx, ny)
         fields = solve_on_grid(sys_, grid, with_positions=True)
         mesh = spinor_mesh(grid, fields, sys_.rho)
@@ -452,7 +452,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         doc = args.fn(args)
-    except BadInput as exc:
+    except (BadInput, ExpressionParseError) as exc:
         _emit({"schema": SCHEMA_VERSION, "error": {"code": "bad-input", "message": str(exc)}}, getattr(args, "out", None))
         return 1
     except EntropyDiffError as exc:

@@ -80,8 +80,9 @@ class HillSystem:
         self.state_at_base = np.asarray(self.state_at_base, dtype=np.complex128)
         if self.state_at_base.shape != (2, 2):
             raise ValueError("state must be a 2x2 matrix [[w1,w2],[w1',w2']]")
-        w = complex(_wronskian(self.state_at_base))
-        if abs(w - 0.5) > _WRONSKIAN_TOL:
+        with np.errstate(all="ignore"):  # a non-finite state gives NaN, which fails
+            w = complex(_wronskian(self.state_at_base))
+        if not abs(w - 0.5) <= _WRONSKIAN_TOL:
             raise ValueError(f"Wronskian must be 1/2, got {w}")
 
 
@@ -91,7 +92,7 @@ def canonical_state_mu_nu(mu: float = 1.0, nu: complex = 0j, base: complex = 0j)
     Exact solution family for rho = 0 (Enneper case); for general rho it
     still provides a valid Wronskian-1/2 initial state.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
     return np.array([[mu, nu + base / (2 * mu)], [0.0, 1.0 / (2 * mu)]], dtype=np.complex128)
 
@@ -366,7 +367,7 @@ def reconstructed_data_jets(state: np.ndarray, rho: AnalyticExpr, z: complex, or
     jw1, jw2 = Jet(complex(z), c[:, 0]), Jet(complex(z), c[:, 1])
     jG = jet_div(jw2, jw1)
     jh = -2.0 * jet_mul(jw1, jw2)
-    return jG.truncated(min(3, jG.order)), jh.truncated(min(2, jh.order))
+    return jG.truncated(3), jh.truncated(2)
 
 
 # ---------------------------------------------------------------------------

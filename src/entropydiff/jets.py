@@ -31,6 +31,9 @@ _INTERNAL_ORDER_CAP = 24
 
 _NO_POINTS = np.zeros(0, dtype=np.intp)
 
+#: Deepest tree, or nesting of brackets and signs, that the parser accepts.
+MAX_EXPR_DEPTH = 100
+
 # Relative threshold below which a leading coefficient counts as vanishing
 # (relative to the largest coefficient magnitude of the same jet).
 _CANCEL_RTOL = 1e-12
@@ -49,12 +52,13 @@ class AnalyticExpr:
     identity; all operators return new trees.
     """
 
-    __slots__ = ("kind", "value", "args")
+    __slots__ = ("kind", "value", "args", "depth")
 
     def __init__(self, kind: str, value=None, args: tuple = ()):
         self.kind = kind
         self.value = value
         self.args = args
+        self.depth = 1 + max((a.depth for a in args), default=0)
 
     # -- construction -------------------------------------------------------
 
@@ -278,44 +282,50 @@ class _Tokens:
 def parse_expression(text: str) -> AnalyticExpr:
     """Parse the plain-text grammar: literals ``a+bi``, ``+ - * / ^``,
     ``exp(...)`` and the variable ``z``.  Example: ``(1+0.5i)*z^2 - exp(-z)``.
+    A tree deeper than :data:`MAX_EXPR_DEPTH` is refused.
     """
     toks = _Tokens(text)
-    e = _parse_sum(toks)
+    e = _parse_sum(toks, 0)
     if toks.peek()[0] != "end":
         raise ExpressionParseError(f"trailing input near token {toks.peek()[0]!r}")
+    if e.depth > MAX_EXPR_DEPTH:  # a long chain of + or * is as deep as it is long
+        raise ExpressionParseError(f"expression deeper than {MAX_EXPR_DEPTH} levels")
     return e
 
 
-def _parse_sum(toks: _Tokens) -> AnalyticExpr:
-    e = _parse_term(toks)
+def _parse_sum(toks: _Tokens, nesting: int) -> AnalyticExpr:
+    e = _parse_term(toks, nesting)
     while toks.peek()[0] in "+-":
         op = toks.next()[0]
-        rhs = _parse_term(toks)
+        rhs = _parse_term(toks, nesting)
         e = e + rhs if op == "+" else e - rhs
     return e
 
 
-def _parse_term(toks: _Tokens) -> AnalyticExpr:
-    e = _parse_unary(toks)
+def _parse_term(toks: _Tokens, nesting: int) -> AnalyticExpr:
+    e = _parse_unary(toks, nesting)
     while toks.peek()[0] in "*/":
         op = toks.next()[0]
-        rhs = _parse_unary(toks)
+        rhs = _parse_unary(toks, nesting)
         e = e * rhs if op == "*" else e / rhs
     return e
 
 
-def _parse_unary(toks: _Tokens) -> AnalyticExpr:
+def _parse_unary(toks: _Tokens, nesting: int) -> AnalyticExpr:
+    # brackets and signs may build no tree level; bound the parser's recursion
+    if nesting > MAX_EXPR_DEPTH:
+        raise ExpressionParseError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
     if toks.peek()[0] == "-":
         toks.next()
-        return -_parse_unary(toks)
+        return -_parse_unary(toks, nesting + 1)
     if toks.peek()[0] == "+":
         toks.next()
-        return _parse_unary(toks)
-    return _parse_postfix(toks)
+        return _parse_unary(toks, nesting + 1)
+    return _parse_postfix(toks, nesting)
 
 
-def _parse_postfix(toks: _Tokens) -> AnalyticExpr:
-    e = _parse_atom(toks)
+def _parse_postfix(toks: _Tokens, nesting: int) -> AnalyticExpr:
+    e = _parse_atom(toks, nesting)
     if toks.peek()[0] == "^":
         toks.next()
         e = e ** _parse_int_exponent(toks)
@@ -338,7 +348,7 @@ def _parse_int_exponent(toks: _Tokens) -> int:
     return sign * int(val.real)
 
 
-def _parse_atom(toks: _Tokens) -> AnalyticExpr:
+def _parse_atom(toks: _Tokens, nesting: int) -> AnalyticExpr:
     kind, val = toks.next()
     if kind == "num":
         return AnalyticExpr("const", val)
@@ -349,12 +359,12 @@ def _parse_atom(toks: _Tokens) -> AnalyticExpr:
             return AnalyticExpr("const", 1j)
         if val == "exp":
             toks.expect("(")
-            inner = _parse_sum(toks)
+            inner = _parse_sum(toks, nesting + 1)
             toks.expect(")")
             return exp(inner)
         raise ExpressionParseError(f"unknown name {val!r}")
     if kind == "(":
-        inner = _parse_sum(toks)
+        inner = _parse_sum(toks, nesting + 1)
         toks.expect(")")
         return inner
     raise ExpressionParseError(f"unexpected token {kind!r}")
@@ -474,42 +484,35 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 
 
 def jet_div(a: Jet, b: Jet) -> Jet:
-    """Truncated quotient a/b, base point by base point.
+    """Truncated quotient a/b to the common order, base point by base point.
 
-    If the denominator vanishes at the base to some order k and the
-    numerator vanishes at least as fast, both are shifted by k (removable
-    singularity) and the quotient loses k orders; the jet is cut to the
-    shortest order over its base points, and :func:`eval_jet` re-evaluates
-    at higher order to make the loss up.  Vanishing is judged relative to
-    the largest coefficient magnitude (threshold 1e-12).  A denominator
-    vanishing to every kept order, or strictly faster than the numerator,
-    makes the quotient NaN at that point, whatever the shape, so one bad
-    node cannot poison a whole field evaluation.
+    Where the denominator vanishes to some order k and the numerator at
+    least as fast (a removable singularity), both are shifted by k: that
+    point has NaN in its last k rows, and every other point keeps its full
+    jet.  Vanishing is judged relative to the largest coefficient magnitude
+    (threshold 1e-12); rows already lost (NaN) do not count.  Where the
+    denominator vanishes to every kept order, or faster than the numerator,
+    the quotient is NaN at that point.
     """
-    coeffs, shift = quotient_coeffs(a, b)
-    return Jet(a.base, coeffs[: len(coeffs) - int(shift.max(initial=0))])
+    return Jet(a.base, _quotient(a, b)[0])
 
 
-def quotient_coeffs(a: Jet, b: Jet):
-    """(coeffs, shift): the quotient a/b to the common order of a and b,
-    and the orders each base point lost to a removable zero of b.
-
-    A point that lost k orders has NaN in its last k rows; every other
-    point keeps its full jet.  :func:`jet_div` cuts the whole jet instead.
-    """
+def _quotient(a: Jet, b: Jet):
+    """(coeffs of a/b, mask of the points where more orders could help: those
+    that lost orders and those where b showed no nonzero coefficient)."""
     m = _common_order(a, b)
     shape = np.broadcast_shapes(a.coeffs.shape[1:], b.coeffs.shape[1:])
     ac = np.broadcast_to(a.coeffs[: m + 1], (m + 1,) + shape).copy()
     bc = np.broadcast_to(b.coeffs[: m + 1], (m + 1,) + shape).copy()
 
     amag, bmag = np.abs(ac), np.abs(bc)
-    bmax = bmag.max(axis=0)
-    poles = ~(bmax > 0.0)  # identically vanishing denominator (or NaN)
+    bmax = np.fmax.reduce(bmag, axis=0)
+    poles = ~(bmax > 0.0)  # no nonzero coefficient, or none but NaN
     bsig = bmag > _CANCEL_RTOL * np.where(bmax > 0, bmax, 1.0)
     lead_b = np.where(poles, 0, np.argmax(bsig, axis=0))
 
     if np.any(lead_b > 0):
-        amax = amag.max(axis=0)
+        amax = np.fmax.reduce(amag, axis=0)
         asig = amag > _CANCEL_RTOL * np.where(amax > 0, amax, 1.0)
         lead_a = np.where(asig.any(axis=0), np.argmax(asig, axis=0), m + 1)
         deeper = lead_b > lead_a
@@ -533,7 +536,7 @@ def quotient_coeffs(a: Jet, b: Jet):
             out[n] = acc / b0
     if np.any(poles):
         out[:, poles] = np.nan
-    return out, lead_b
+    return out, (bmax == 0.0) | (lead_b > 0)
 
 
 def jet_exp(a: Jet) -> Jet:
@@ -577,16 +580,15 @@ def eval_jet(expr: AnalyticExpr, z, order: int) -> Jet:
 
     ``z`` may be a complex scalar or an ndarray of points (the jet then
     carries one expansion per point); a scalar is evaluated as a one-point
-    array, so both give the same coefficients.  Removable singularities in
-    divisions are cancelled: when cancellation shortens the jet, the points
-    are evaluated again with that many extra orders, and a point whose value
-    is not finite because a denominator vanished to every kept order is
-    evaluated again at doubling order, up to ``_INTERNAL_ORDER_CAP``, in
-    case that denominator shows a nonzero coefficient deeper.  Each point
-    keeps its first finite value.  A point that stays singular is NaN in an
-    array; a scalar raises :class:`~entropydiff.errors.PoleAtPoint`.
-    Overflow and division by zero give inf/NaN silently, as in
-    :meth:`AnalyticExpr.eval`.
+    array, so both give the same coefficients.  Every point is evaluated
+    once.  A point that lost orders to a removable zero of a denominator
+    (see :func:`jet_div`), or where a denominator vanished to every kept
+    order, is evaluated again, alone, at doubling order up to
+    ``_INTERNAL_ORDER_CAP`` until its ``order + 1`` coefficients are
+    finite.  A point that stays singular is NaN in an array; a scalar
+    raises :class:`~entropydiff.errors.PoleAtPoint`.  Overflow and division
+    by zero give inf/NaN silently, as in :meth:`AnalyticExpr.eval`, and an
+    overflowed point is not evaluated again.
     """
     if order < 0:
         raise OrderOverflow("jet order must be nonnegative")
@@ -594,30 +596,22 @@ def eval_jet(expr: AnalyticExpr, z, order: int) -> Jet:
         raise OrderOverflow(f"jet order {order} above the supported maximum {MAX_JET_ORDER}")
     zz = np.asarray(z, dtype=np.complex128)
     points = zz.reshape(-1)
-    # todo indexes the points without a finite value yet; None until the
-    # first pass that keeps every order, which covers all points
-    coeffs = todo = None
-    attempt = order
-    while todo is None or todo.size:
+    # todo: the points still short of finite coefficients; None before the first pass
+    coeffs, todo, attempt = None, None, order
+    while True:
         vanished = []
         with np.errstate(all="ignore"):  # overflow and poles surface as inf/NaN
             jet = _eval_jet_tree(expr, points if todo is None else points[todo], attempt, vanished)
-        if jet.order < order:
-            deeper = attempt + order - jet.order
+        marked = np.flatnonzero(np.any(vanished, axis=0)) if vanished else _NO_POINTS
+        short = marked[~np.isfinite(jet.coeffs[: order + 1, marked]).all(axis=0)]
+        if todo is None:
+            coeffs, todo = jet.coeffs, short
         else:
-            # more orders can help only where a denominator showed none of its own
-            bad = np.flatnonzero(np.any(vanished, axis=0) & ~np.isfinite(jet.coeffs[0])) if vanished else _NO_POINTS
-            if todo is None:
-                coeffs, todo = jet.coeffs[: order + 1], bad
-            else:
-                coeffs[:, todo] = jet.coeffs[: order + 1]
-                todo = todo[bad]
-            deeper = min(max(2 * attempt, attempt + 2), _INTERNAL_ORDER_CAP)
-        if deeper == attempt or deeper > _INTERNAL_ORDER_CAP:
+            coeffs[:, todo] = jet.coeffs[: order + 1]
+            todo = todo[short]
+        if not todo.size or attempt == _INTERNAL_ORDER_CAP:
             break
-        attempt = deeper
-    if coeffs is None:
-        coeffs = np.full((order + 1, points.size), np.nan, dtype=np.complex128)
+        attempt = min(max(2 * attempt, attempt + 2), _INTERNAL_ORDER_CAP)
     coeffs = coeffs.reshape((order + 1,) + zz.shape)
     if zz.ndim == 0 and np.isnan(coeffs[0]):
         raise PoleAtPoint(f"expression is singular at {complex(zz)}")
@@ -625,8 +619,10 @@ def eval_jet(expr: AnalyticExpr, z, order: int) -> Jet:
 
 
 def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list) -> Jet:
-    """The jet of ``expr`` at the points ``z``.  Appends to ``vanished`` a
-    mask of the points where a denominator vanishes to every kept order."""
+    """The jet of ``expr`` at the points ``z``.  Each division appends to
+    ``vanished`` a mask of the points where more orders could help: those
+    that lost orders to a removable zero, and those where the denominator
+    showed no nonzero coefficient."""
     kind = expr.kind
     if kind == "const":
         coeffs = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
@@ -645,10 +641,10 @@ def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list
     if kind == "mul":
         return jet_mul(_eval_jet_tree(expr.args[0], z, order, vanished), _eval_jet_tree(expr.args[1], z, order, vanished))
     if kind == "div":
-        num, den = _eval_jet_tree(expr.args[0], z, order, vanished), _eval_jet_tree(expr.args[1], z, order, vanished)
-        if not den.coeffs[0].all():
-            vanished.append(~den.coeffs[: num.order + 1].any(axis=0))
-        return jet_div(num, den)
+        coeffs, deepen = _quotient(_eval_jet_tree(expr.args[0], z, order, vanished), _eval_jet_tree(expr.args[1], z, order, vanished))
+        if deepen.any():
+            vanished.append(deepen)
+        return Jet(z, coeffs)
     if kind == "neg":
         return -_eval_jet_tree(expr.args[0], z, order, vanished)
     if kind == "pow":

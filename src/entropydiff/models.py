@@ -79,7 +79,7 @@ def enneper(mu: float = 1.0 / math.sqrt(2.0), half_width: float = 1.2) -> ModelS
 
     mu = 1/sqrt(2) gives the standard normalization G = z.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
     c = 1.0 / (2.0 * mu * mu)
     data = WeierstrassData(const(c) * Z, Z, RectDomain.square(half_width), label=f"enneper(mu={mu:g})")

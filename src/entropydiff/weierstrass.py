@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import CriticalPoint, DegeneratePoint, PoleAtPoint, UmbilicPoint
 from .geomnum import RectDomain
-from .jets import AnalyticExpr, Jet, const, eval_jet, jet_div, jet_mul, quotient_coeffs
+from .jets import AnalyticExpr, Jet, const, eval_jet, jet_div, jet_mul
 
 __all__ = [
     "WeierstrassData",
@@ -189,8 +189,7 @@ def _parts(jG, jh):
     """
     with np.errstate(all="ignore"):
         q = -jet_div(jet_mul(jh, jG.derivative_jet()), jG).value
-        r = Jet(jh.base, quotient_coeffs(jh, jG)[0])
-        return q, r, jet_mul(jh, jG)
+        return q, jet_div(jh, jG), jet_mul(jh, jG)
 
 
 def _derivatives(jG, jh):
@@ -292,14 +291,12 @@ class SurfaceFields:
         """Jets of h/G, hG and h to order 2 at every node: the coefficients
         of the Weierstrass 1-forms and their first two derivatives, direct
         (not recovered).  Where h/G has a value but lost orders to a
-        vanishing G, they are filled in at those nodes alone, by a jet of
-        the expression h/G there."""
+        vanishing G, those nodes alone take a jet of the expression h/G."""
         r = self._r
         short = np.isfinite(r.value) & ~np.isfinite(r.coeffs).all(axis=0)
         if short.any():
             r = Jet(r.base, r.coeffs.copy())
-            fill = eval_jet(self._data.h / self._data.G, self.z[short], r.order).coeffs
-            r.coeffs[:, short] = np.where(np.isfinite(r.coeffs[:, short]), r.coeffs[:, short], fill)
+            r.coeffs[:, short] = eval_jet(self._data.h / self._data.G, self.z[short], r.order).coeffs
         return r, self._p, self._jh
 
     @cached_property

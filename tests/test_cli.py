@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from entropydiff.cli import MAX_GRID_NODES, dumps_json, main
+from entropydiff import cli
+from entropydiff.cli import MAX_GRID_NODES, MAX_SAMPLES, dumps_json, main
 from entropydiff.geomnum import RectDomain
 from entropydiff.models import catenoid, deformed_catenoid, get_model
 from entropydiff.verify import ecritical_residual, ricci_residual, soliton_check, weighted_entropy_norm
@@ -248,19 +249,42 @@ def test_numeric_failure_exit_code(tmp_path):
         ("analyze", "--G", "z", "--h", "1", "--domain", "0,inf,0,1"),
         ("mesh", "--G", "z", "--h", "1", "--domain", "0,inf,0,1", "--obj", os.devnull),
         ("verify", "--surface", "catenoid", "--checks", "ricci,bogus"),
+        # expressions too deep to evaluate, refused while parsing
+        ("analyze", "--G", "(" * 3000 + "z" + ")" * 3000, "--h", "1", "--domain", "0.5,1,0,1", "--grid", "8x8"),
+        ("analyze", "--G", "exp(" * 300 + "z" + ")" * 300, "--h", "1", "--domain", "0.5,1,0,1", "--grid", "8x8"),
+        ("analyze", "--G", "+".join(["z"] * 5000), "--h", "1", "--domain", "0.5,1,0,1", "--grid", "8x8"),
+        ("norm", "--G", "z", "--h", "-" * 5000 + "z", "--domain", "0.5,1,0,1"),
+        ("reconstruct", "--rho", "z*" * 5000 + "z"),
+        # expressions that do not parse
+        ("analyze", "--G", "z +", "--h", "1", "--domain", "0.5,1,0,1", "--grid", "8x8"),
+        ("analyze", "--G", "z", "--h", "z +", "--domain", "0.5,1,0,1", "--grid", "8x8"),
+        ("reconstruct", "--rho", "z +"),
+        # a NaN or infinite Hill state or scale
+        ("reconstruct", "--rho", "0", "--mu", "inf"),
+        ("reconstruct", "--rho", "0", "--mu", "nan"),
+        ("reconstruct", "--rho", "0", "--nu", "1e400"),
+        ("reconstruct", "--rho", "0", "--phi", "0", "--alpha", "1e400"),
+        ("analyze", "--surface", "enneper", "--mu", "nan", "--grid", "8x8"),
+        # more samples than MAX_SAMPLES, refused before the Hill march
+        ("reconstruct", "--rho", "1", "--samples", str(MAX_SAMPLES + 1)),
     ],
 )
-def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, monkeypatch, argv):
+def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, monkeypatch, capsys, argv):
     grid = RectDomain.grid
 
     def guarded_grid(self, nx, ny):
         assert nx * ny <= MAX_GRID_NODES, f"a {nx}x{ny} grid was allocated"
         return grid(self, nx, ny)
 
+    def refused_march(*args, **kwargs):
+        raise AssertionError("the Hill equation was integrated")
+
     monkeypatch.setattr(RectDomain, "grid", guarded_grid)
+    monkeypatch.setattr(cli, "integrate_hill", refused_march)
     code, doc = _run(tmp_path, *argv)
     assert code == 1
     assert doc["error"]["code"] == "bad-input"
+    assert capsys.readouterr().err == ""
 
 
 def test_mesh_command_at_bench_size_matches_closed_form(tmp_path):

@@ -15,7 +15,6 @@ from entropydiff.jets import (
     jet_exp,
     jet_mul,
     parse_expression,
-    quotient_coeffs,
 )
 
 
@@ -48,15 +47,11 @@ def test_quotient_keeps_every_order_away_from_a_removable_zero():
     # z e^z / z: only the node at 0 loses an order to the cancellation
     z = np.array([0.0, 0.5, 1.0 + 1.0j])
     num, den = eval_jet(Z * exp(Z), z, 3), eval_jet(Z, z, 3)
-    coeffs, shift = quotient_coeffs(num, den)
-    assert shift.tolist() == [1, 0, 0]
+    coeffs = jet_div(num, den).coeffs
+    assert coeffs.shape == (4, 3)
     np.testing.assert_allclose(coeffs[:, 1:], eval_jet(exp(Z), z[1:], 3).coeffs, rtol=1e-14, atol=0)
     np.testing.assert_allclose(coeffs[:3, 0], [1.0, 1.0, 0.5], rtol=0, atol=1e-15)
     assert np.isnan(coeffs[3, 0])
-    # jet_div cuts the whole jet to the shortest order, with the same rows
-    cut = jet_div(num, den)
-    assert cut.order == 2
-    np.testing.assert_array_equal(cut.coeffs, coeffs[:3])
 
 
 def test_exp_times_exp_inverse_is_one():
@@ -191,8 +186,45 @@ def test_only_vanishing_denominators_are_deepened(monkeypatch):
         jet = eval_jet(overflow, np.array([800.0, 0.5]), 3)
         assert passes == [2] and np.isnan(jet.coeffs[0, 0]) and np.isfinite(jet.coeffs[0, 1])
         passes.clear()
+        # a denominator that is NaN at every order, not zero, is not deepened
+        eval_jet(const(1.0) / overflow, np.array([800.0, 0.5]), 3)
+        assert passes == [2]
+        passes.clear()
         eval_jet(removable, np.array([800.0, 0.0, 0.5]), 0)
         assert passes == [3, 1]
+
+
+def test_a_removable_point_costs_one_pass_over_that_point_alone(monkeypatch):
+    # z^2/z on a 257 x 257 grid through 0: every point is evaluated once at
+    # order 2, then 0, which lost an order, alone at order 4
+    expr = Z**2 / Z
+    passes = []
+    tree = jets._eval_jet_tree
+
+    def counted(e, z, order, vanished):
+        if e is expr:
+            passes.append((z.size, order))
+        return tree(e, z, order, vanished)
+
+    monkeypatch.setattr(jets, "_eval_jet_tree", counted)
+    x = np.linspace(-1.0, 1.0, 257)
+    zs = x[:, None] + 1j * x[None, :]
+    jet = eval_jet(expr, zs, 2)
+    assert passes == [(257 * 257, 2), (1, 4)]
+    np.testing.assert_allclose(jet.coeffs, eval_jet(Z, zs, 2).coeffs, rtol=0, atol=1e-14)
+
+
+def test_nested_removable_quotients_cancel():
+    # the inner quotients lose an order at 0; the outer one still cancels
+    zs = np.array([0.0, 0.5, -1.0 + 0.5j])
+    for e in ((Z**2 / Z) / (Z**2 / Z), Z / (Z**2 / Z), (Z**3 / Z) / Z**2):
+        for order in range(4):
+            np.testing.assert_allclose(eval_jet(e, zs, order).coeffs, eval_jet(const(1.0), zs, order).coeffs, rtol=1e-14, atol=1e-14)
+    # z^2/z over z^2 is 1/z: a pole, even though the numerator lost its last
+    # row; vanishing is relative to the rows it kept, however small
+    for scale in (1.0, 1e-20):
+        with pytest.raises(PoleAtPoint):
+            eval_jet((const(scale) * (Z**2 / Z)) / Z**2, 0.0, 3)
 
 
 def _random_jet(rng, order=4):
@@ -281,6 +313,19 @@ def test_parse_errors():
     for bad in ["z +", "exp(z", "2**z", "q", "z^i", "1..2"]:
         with pytest.raises(ExpressionParseError):
             parse_expression(bad)
+
+
+def test_parse_refuses_what_is_deeper_than_the_limit():
+    n = jets.MAX_EXPR_DEPTH
+    # nested exp and a chain of products are as deep as they are long;
+    # brackets and signs add no tree level but count as nesting
+    for text, depth in (("exp(" * (n - 1) + "z" + ")" * (n - 1), n), ("*".join(["z"] * n), n)):
+        assert parse_expression(text).depth == depth
+    for text in ("(" * n + "z" + ")" * n, "-+" * (n // 2) + "z"):
+        parse_expression(text)
+    for text in ("exp(" * n + "z" + ")" * n, "*".join(["z"] * (n + 1)), "(" * (n + 1) + "z" + ")" * (n + 1), "+" * (n + 1) + "z"):
+        with pytest.raises(ExpressionParseError):
+            parse_expression(text)
 
 
 def test_expression_round_trips_through_str():
