@@ -338,22 +338,22 @@ def cmd_verify(args) -> dict:
 
 def cmd_norm(args) -> dict:
     data, params = _surface_from_args(args)
-    dom = data.domain
-    x_cut = args.x_cut
-    if x_cut is None and args.domain is None and data.periodic_y is not None:
-        # periodic families live on the full strip; the sech-type tails of
-        # the model densities are below tol/10 by |x| = 20
-        x_cut = 20.0
-    if x_cut is not None:
-        x_cut = _positive("--x-cut", x_cut)
-        dom = RectDomain(-x_cut, x_cut, dom.y0, dom.y1)
+    dom = None if args.domain is None else data.domain
+    if args.x_cut is not None:
+        x_cut = _positive("--x-cut", args.x_cut)
+        dom = RectDomain(-x_cut, x_cut, data.domain.y0, data.domain.y1)
     value = weighted_entropy_norm(data, dom, tol=_positive("--tol", args.tol))
-    return {
+    d = value.domain
+    doc = {
         "schema": SCHEMA_VERSION,
         "command": "norm",
-        "params": {**params, "domain": [dom.x0, dom.x1, dom.y0, dom.y1], "tol": args.tol},
-        "norm": value,
+        "params": {**params, "domain": [d.x0, d.x1, d.y0, d.y1], "tol": args.tol},
+        "norm": float(value),
     }
+    if value.diagnostics is not None:
+        doc["error_estimate"] = value.error_estimate
+        doc["diagnostics"] = value.diagnostics
+    return doc
 
 
 def cmd_mesh(args) -> dict:

@@ -31,7 +31,7 @@ class OrderOverflow(EntropyDiffError, ValueError):
 
 
 class DegeneratePoint(EntropyDiffError, ArithmeticError):
-    """Conformal factor underflows: the immersion degenerates."""
+    """Conformal factor underflows or overflows: the immersion degenerates."""
 
     code = "degenerate-point"
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotUnimodular, PoleOnPath, StepFailure
+from .errors import DegeneratePoint, NotUnimodular, PoleOnPath, StepFailure
 from .geomnum import ConformalMetricField, ScalarField, UniformGrid, interior_stats, laplacian_conformal
 from .jets import AnalyticExpr, Jet, eval_jet, jet_div, jet_mul
 
@@ -84,6 +84,8 @@ class HillSystem:
             w = complex(_wronskian(self.state_at_base))
         if not abs(w - 0.5) <= _WRONSKIAN_TOL:
             raise ValueError(f"Wronskian must be 1/2, got {w}")
+        if not _metric_factor_fits(*self.state_at_base[0]):
+            raise ValueError("the metric factor (|w1|^2 + |w2|^2)^2 of the state is not a positive finite float")
 
 
 def canonical_state_mu_nu(mu: float = 1.0, nu: complex = 0j, base: complex = 0j) -> np.ndarray:
@@ -341,6 +343,8 @@ def reconstruct_weierstrass(sol: PathSolution) -> list[ReconstructedSample]:
     for z, w1, w2, _, _ in sol.samples:
         scale = max(abs(w1), abs(w2), 1e-300)
         pole = abs(w1) <= _SPINOR_TOL * scale
+        if not _metric_factor_fits(w1, w2):
+            raise DegeneratePoint(f"the metric factor (|w1|^2 + |w2|^2)^2 at z = {z} is not a positive finite float")
         norm_sq = abs(w1) ** 2 + abs(w2) ** 2
         out.append(
             ReconstructedSample(
@@ -353,6 +357,14 @@ def reconstruct_weierstrass(sol: PathSolution) -> list[ReconstructedSample]:
             )
         )
     return out
+
+
+def _metric_factor_fits(w1: complex, w2: complex) -> bool:
+    """Whether lambda^2 = (|w1|^2 + |w2|^2)^2 is a positive finite float.
+    Python float products overflow to inf where ``**`` raises."""
+    a1, a2 = float(abs(w1)), float(abs(w2))
+    norm_sq = a1 * a1 + a2 * a2
+    return 0.0 < norm_sq * norm_sq < math.inf
 
 
 def reconstructed_data_jets(state: np.ndarray, rho: AnalyticExpr, z: complex, order: int = 4):

@@ -79,9 +79,9 @@ def enneper(mu: float = 1.0 / math.sqrt(2.0), half_width: float = 1.2) -> ModelS
 
     mu = 1/sqrt(2) gives the standard normalization G = z.
     """
-    if not mu > 0:
-        raise ValueError("mu must be positive")
-    c = 1.0 / (2.0 * mu * mu)
+    c = 0.5 / (mu * mu) if mu * mu > 0 else math.inf
+    if not (0.0 < mu < math.inf and 0.0 < c < math.inf):
+        raise ValueError("mu and 1/(2 mu^2) must be positive and finite")
     data = WeierstrassData(const(c) * Z, Z, RectDomain.square(half_width), label=f"enneper(mu={mu:g})")
 
     def closed_form(x: float, y: float) -> np.ndarray:

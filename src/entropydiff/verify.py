@@ -30,9 +30,11 @@ from .errors import (
 from .geomnum import (
     ConformalMetricField,
     RectDomain,
+    STRIP_X_CAP,
     ScalarField,
     UniformGrid,
     integrate2d,
+    integrate_strip,
     interior_mask,
     interior_stats,
     laplacian_conformal,
@@ -68,6 +70,7 @@ __all__ = [
     "entropy_functional_ecritical",
     "PoleFit",
     "pole_probe",
+    "NormResult",
     "weighted_entropy_norm",
     "soliton_check",
     "liouville_check",
@@ -421,19 +424,46 @@ def pole_probe(data: WeierstrassData, center: complex, radii=(0.1, 0.2, 0.4)) ->
 # Weighted entropy norm
 # ---------------------------------------------------------------------------
 
-def weighted_entropy_norm(data: WeierstrassData, domain: RectDomain | None = None, tol: float = 1e-8) -> float:
+class NormResult(float):
+    """The norm N as a float, with the ``domain`` it integrated.  From the
+    whole-strip rule also ``error_estimate``, a bound on |N - exact|, and
+    ``diagnostics`` (nodes, halvings in x and y, and the truncation bound
+    on N); both are None from the adaptive engine."""
+
+    def __new__(cls, value: float, domain: RectDomain, error_estimate=None, diagnostics=None):
+        self = super().__new__(cls, value)
+        self.domain, self.error_estimate, self.diagnostics = domain, error_estimate, diagnostics
+        return self
+
+
+def weighted_entropy_norm(data: WeierstrassData, domain: RectDomain | None = None, tol: float = 1e-8) -> NormResult:
     """The weighted L^(1/2) norm ||T|| = (integral of |That|^(1/2) mu_g)^2.
 
-    The integrand uses the continuous extension of |That| across umbilic
-    points, so umbilics inside the domain are harmless.
+    With ``domain=None`` on y-periodic data the integral runs over the whole
+    strip, one period wide, by :func:`geomnum.integrate_strip`; otherwise
+    over ``domain`` (default ``data.domain``) by :func:`geomnum.integrate2d`.
+    ``tol`` bounds the integral I of N = I^2.  The integrand uses the
+    continuous extension of |That| across umbilic points, so umbilics
+    inside a domain are harmless to the adaptive engine; the strip rule
+    expects an analytic density, so a strip with umbilics needs a domain.
     """
-    domain = domain or data.domain
 
     def density(zs):
         f = SurfaceFields(data, zs)
         return np.sqrt(np.maximum(f.norms[1], 0.0)) * f.metric["lambda_sq"]
 
-    return float(integrate2d(density, domain, tol=tol).value) ** 2
+    if domain is None and data.periodic_y is not None:
+        y0 = data.domain.y0
+        q = integrate_strip(density, y0, data.periodic_y, tol=tol)
+
+        def on_norm(e):  # a bound e on I bounds N = I^2 by e (2|I| + e)
+            return e * (2.0 * abs(q.value) + e)
+
+        diagnostics = {**q.diagnostics, "truncation_bound": on_norm(q.diagnostics["truncation_bound"])}
+        strip = RectDomain(-STRIP_X_CAP, STRIP_X_CAP, y0, y0 + data.periodic_y)
+        return NormResult(q.value**2, strip, on_norm(q.error), diagnostics)
+    domain = domain or data.domain
+    return NormResult(float(integrate2d(density, domain, tol=tol).value) ** 2, domain)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 import warnings
 
 import numpy as np
@@ -134,6 +135,41 @@ def test_norm_command_catenoid(tmp_path):
     code, doc = _run(tmp_path, "norm", "--surface", "catenoid", "--x-cut", "20")
     assert code == 0
     assert abs(doc["norm"] - 2 * math.sqrt(2) * math.pi**4) < 0.3
+    assert list(doc) == ["schema", "command", "params", "norm"]
+
+
+def test_norm_on_the_whole_strip_reports_its_estimate_in_repeatable_bytes(tmp_path):
+    argv = ["norm", "--surface", "deformed-helicoid", "--t", "0.35"]
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(argv + ["--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    doc = json.loads(outs[0].read_text())
+    assert doc["params"]["domain"] == [-30, 30, 0, 2 * math.pi]
+    assert 0 < doc["error_estimate"] <= 2 * math.sqrt(doc["norm"]) * 1.01e-6
+    assert list(doc["diagnostics"]) == ["nodes", "x_halvings", "y_halvings", "truncation_bound"]
+    assert 0 < doc["diagnostics"]["truncation_bound"] <= doc["error_estimate"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("norm", "--surface", "catenoid", "--tol", "1e-15"),
+        # NaN fields at |x| = 30
+        ("norm", "--surface", "deformed-catenoid", "--t", "0.999"),
+    ],
+)
+def test_norm_that_cannot_converge_ends_quickly(tmp_path, argv):
+    start = time.perf_counter()
+    code, doc = _run(tmp_path, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code == 0 and math.isfinite(doc["norm"])) or (code == 2 and doc["error"]["code"] == "no-convergence")
+
+
+def test_a_metric_factor_that_overflows_on_the_path_is_a_numeric_failure(tmp_path):
+    # the state at 0 is representable; w2 = z/(2 mu) is not squared twice
+    code, doc = _run(tmp_path, "reconstruct", "--rho", "0", "--mu", "1e-78")
+    assert code == 2 and doc["error"]["code"] == "degenerate-point"
 
 
 def test_norm_keeps_the_domain_of_a_periodic_surface(tmp_path):
@@ -265,6 +301,13 @@ def test_numeric_failure_exit_code(tmp_path):
         ("reconstruct", "--rho", "0", "--nu", "1e400"),
         ("reconstruct", "--rho", "0", "--phi", "0", "--alpha", "1e400"),
         ("analyze", "--surface", "enneper", "--mu", "nan", "--grid", "8x8"),
+        # finite scales whose metric factor or Gauss map does not fit a float
+        ("reconstruct", "--rho", "0", "--mu", "1e300"),
+        ("reconstruct", "--rho", "0", "--mu", "1e-300", "--nu", "1e300"),
+        ("reconstruct", "--rho", "0", "--phi", "0", "--alpha", "1e-320"),
+        ("analyze", "--surface", "enneper", "--mu", "1e-300", "--grid", "8x8"),
+        ("analyze", "--surface", "enneper", "--mu", "inf", "--grid", "8x8"),
+        ("norm", "--surface", "enneper", "--mu", "1e200"),
         # more samples than MAX_SAMPLES, refused before the Hill march
         ("reconstruct", "--rho", "1", "--samples", str(MAX_SAMPLES + 1)),
     ],

@@ -7,9 +7,11 @@ from entropydiff.errors import GridMismatch, GridTooCoarse, NoConvergence
 from entropydiff.geomnum import (
     ConformalMetricField,
     RectDomain,
+    STRIP_MAX_NODES,
     ScalarField,
     integrate2d,
     integrate_segment,
+    integrate_strip,
     interior_stats,
     laplacian_conformal,
     tracefree_hessian_conformal,
@@ -229,3 +231,48 @@ def test_sample_mesh_positions_match_per_edge_integrals():
             col = col + integrate_segment(f, zs[j - 1, i], zs[j, i]).value
             expected[j, i] = col.real
     np.testing.assert_allclose(mesh.positions, expected, rtol=0, atol=1e-12)
+
+
+def _strip_density(zs):
+    # integral over R x [0, 2pi]: pi * 2 pi / sqrt(1.1^2 - 1)
+    return 1.0 / (np.cosh(np.real(zs)) * (1.1 + np.cos(np.imag(zs))))
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-9, 1e-11])
+def test_strip_rule_meets_tol_and_its_estimate_bounds_the_error(tol):
+    res = integrate_strip(_strip_density, 0.0, 2 * np.pi, tol=tol)
+    assert res.error <= tol
+    assert abs(res.value - 2 * np.pi**2 / np.sqrt(0.21)) <= res.error
+    assert 0 < res.diagnostics["truncation_bound"] <= res.error
+
+
+def test_strip_rule_evaluates_each_node_once():
+    seen = []
+
+    def density(zs):
+        seen.extend(np.asarray(zs).tolist())
+        return _strip_density(zs)
+
+    res = integrate_strip(density, 1.0, 2 * np.pi, tol=1e-11)
+    d = res.diagnostics
+    assert d["x_halvings"] >= 1 and d["y_halvings"] >= 1
+    assert len(seen) == len(set(seen)) == d["nodes"]
+    assert all(1.0 <= z.imag < 1.0 + 2 * np.pi and abs(z.real) <= 30.0 for z in seen)
+
+
+@pytest.mark.parametrize(
+    "density, tol, message",
+    [
+        # a kink in y: the even-index estimate never falls under tol
+        (lambda zs: np.abs(np.sin(np.imag(zs))) / np.cosh(np.real(zs)), 1e-8, "nodes"),
+        (lambda zs: np.where(np.real(zs) > 20, np.nan, 1.0 / np.cosh(np.real(zs))), 1e-8, "not finite"),
+        # decays like 1/x^2, so the terms past the cap exceed tol
+        (lambda zs: 1.0 / (1.0 + np.real(zs) ** 2), 1e-8, "past"),
+        (_strip_density, float("nan"), "nodes"),
+    ],
+)
+def test_strip_rule_ends_within_its_node_budget(density, tol, message):
+    sizes = []
+    with pytest.raises(NoConvergence, match=message):
+        integrate_strip(_counting(density, sizes), 0.0, 2 * np.pi, tol=tol)
+    assert sum(sizes) <= STRIP_MAX_NODES

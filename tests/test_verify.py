@@ -6,7 +6,7 @@ import pytest
 from entropydiff.errors import NonpositiveCurvature, PoleAtPoint, ZeroCurvature
 from entropydiff.geomnum import ConformalMetricField, RectDomain
 from entropydiff.jets import Z, const
-from entropydiff.models import catenoid, deformed_catenoid, enneper, helicoid
+from entropydiff.models import catenoid, deformed_catenoid, deformed_helicoid, enneper, helicoid
 from entropydiff.surface import sample_mesh
 from entropydiff.verify import (
     ConformalPowerMap,
@@ -27,7 +27,7 @@ from entropydiff.verify import (
     weighted_entropy_norm,
     _umbilic_guard,
 )
-from entropydiff.weierstrass import WeierstrassData, metric_fields
+from entropydiff.weierstrass import SurfaceFields, WeierstrassData, metric_fields
 
 
 def test_ricci_residual_models():
@@ -199,6 +199,61 @@ def test_weighted_entropy_norm_domain_monotonicity():
     small = weighted_entropy_norm(m.data, RectDomain(-1, 1, 0, np.pi), tol=1e-7)
     big = weighted_entropy_norm(m.data, RectDomain(-2, 2, 0, 2 * np.pi), tol=1e-7)
     assert small <= big
+
+
+# The whole-strip rule: weighted_entropy_norm(data) on y-periodic data.
+NORM_EXACT = 2 * np.sqrt(2) * np.pi**4
+
+
+@pytest.mark.parametrize("model", [catenoid, helicoid])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_strip_norm_of_catenoid_and_helicoid_is_2_sqrt2_pi4(model, tol):
+    v = weighted_entropy_norm(model().data, tol=tol)
+    assert abs(v - NORM_EXACT) <= 1e-12 * NORM_EXACT
+    assert abs(v - NORM_EXACT) <= v.error_estimate <= (2 * np.sqrt(v) + tol) * tol
+    assert v.domain == RectDomain(-30.0, 30.0, 0.0, 2 * np.pi)
+    assert 0 < v.diagnostics["truncation_bound"] <= v.error_estimate
+
+
+def _seeded_t(seed, n):
+    return np.random.default_rng(seed).uniform(-0.9, 0.9, n)
+
+
+@pytest.mark.parametrize("t", _seeded_t(14, 5))
+def test_strip_norm_ct_equals_ht(t):
+    # P = Q/2 on C_t and P = iQ/2 on H_t share |That| and lambda^2 pointwise
+    ct = weighted_entropy_norm(deformed_catenoid(t).data, tol=1e-6)
+    ht = weighted_entropy_norm(deformed_helicoid(t).data, tol=1e-6)
+    assert abs(ct - ht) <= 1e-13 * ct
+
+
+@pytest.mark.parametrize("data", [catenoid().data, deformed_catenoid(_seeded_t(15, 1)[0]).data])
+def test_strip_norm_is_invariant_under_h_to_lambda_h(data):
+    base = weighted_entropy_norm(data, tol=1e-8)
+    for lam in (0.5, 2.0, 10.0):
+        v = weighted_entropy_norm(data.rescaled(lam), tol=1e-8)
+        assert abs(v - base) <= base.error_estimate + v.error_estimate
+
+
+@pytest.mark.parametrize("data", [catenoid().data, deformed_catenoid(_seeded_t(16, 1)[0]).data])
+def test_strip_norm_agrees_with_the_adaptive_engine_on_the_cut_strip(data):
+    # both integrate I, with N = I^2; the adaptive engine misses the tail past
+    # |x| = 20, which for e^-|x| decay is the integral of the density at x = +-20
+    tol = 1e-8
+    strip = weighted_entropy_norm(data, tol=tol)
+    cut = weighted_entropy_norm(data, RectDomain(-20, 20, 0, 2 * np.pi), tol=tol)
+    ys = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    f = SurfaceFields(data, np.concatenate([20 + 1j * ys, -20 + 1j * ys]))
+    tail = 2 * np.pi * (np.sqrt(f.norms[1]) * f.metric["lambda_sq"]).mean() * 2
+    gap = np.sqrt(strip) - np.sqrt(cut)
+    assert abs(gap - tail) <= tol + strip.error_estimate / (2 * np.sqrt(strip)) + 1e-3 * tail
+
+
+def test_explicit_domain_keeps_the_adaptive_engine():
+    data = catenoid().data
+    v = weighted_entropy_norm(data, data.domain, tol=1e-6)
+    assert v.domain == data.domain and v.error_estimate is None and v.diagnostics is None
+    assert weighted_entropy_norm(enneper().data, tol=1e-8).domain == enneper().data.domain
 
 
 def test_soliton_check_enneper_vs_catenoid():
