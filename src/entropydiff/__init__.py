@@ -23,13 +23,11 @@ from .geomnum import RectDomain, UniformGrid, ScalarField, ConformalMetricField,
 from .jets import AnalyticExpr, Jet, MAX_JET_ORDER, Z, const, eval_jet, exp, parse_expression
 from .weierstrass import (
     MetricSample,
-    QuadDiffSample,
     WeierstrassData,
     entropy_coefficient,
     entropy_form_norms,
     hopf_coefficient,
     metric_sample,
-    quad_diff_sample,
     schwarzian,
 )
 from .hill import (

@@ -240,8 +240,10 @@ def _adaptive(g, d: int, tol: float, max_panels: int, what: str):
     A panel is accepted when max |children - parent| over the components is
     at most ``tol`` times its volume.  Acceptance is local, so the panel tree
     does not depend on the order panels are evaluated in; the budget is
-    checked before a level is evaluated.  Accepted values are summed level
-    by level in panel order.  Returns (value, error, panels).
+    checked before a level is evaluated, and a ``tol`` not above the rounding
+    floor 8 eps max|first estimate| is refused after the first level.
+    Accepted values are summed level by level in panel order.  Returns
+    (value, error, panels).
     """
     nodes, weights = _rule(d)
     offsets = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # children, axis 0 fastest
@@ -263,6 +265,9 @@ def _adaptive(g, d: int, tol: float, max_panels: int, what: str):
         panels += len(corners)
         if parent is None:
             parent = values(corners, h)
+            floor = 8.0 * np.finfo(float).eps * np.abs(np.where(np.isfinite(parent), parent, 0.0)).max()
+            if not tol > floor:
+                raise NoConvergence(f"{what}: tol = {tol:g} is not above the rounding floor {floor:.3g} of the integral")
         h *= 0.5
         corners = (corners[:, None, :] + h * offsets).reshape(-1, d)
         kids = values(corners, h)

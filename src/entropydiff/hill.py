@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegeneratePoint, NotUnimodular, PoleOnPath, StepFailure
 from .geomnum import ConformalMetricField, ScalarField, UniformGrid, interior_stats, laplacian_conformal
-from .jets import AnalyticExpr, Jet, eval_jet, jet_div, jet_mul
+from .jets import AnalyticExpr, Jet, eval_jet, jet_div
 
 __all__ = [
     "HOPF_SIGN_CONVENTION",
@@ -45,8 +45,9 @@ __all__ = [
     "apply_sl2",
     "ql_factor",
     "reconstruct_weierstrass",
-    "reconstructed_data_jets",
+    "reconstructed_rho",
     "solve_on_grid",
+    "spinor_metric",
     "liouville_residual",
     "LiouvilleResidual",
 ]
@@ -84,8 +85,10 @@ class HillSystem:
             w = complex(_wronskian(self.state_at_base))
         if not abs(w - 0.5) <= _WRONSKIAN_TOL:
             raise ValueError(f"Wronskian must be 1/2, got {w}")
-        if not _metric_factor_fits(*self.state_at_base[0]):
-            raise ValueError("the metric factor (|w1|^2 + |w2|^2)^2 of the state is not a positive finite float")
+        try:
+            spinor_metric(*self.state_at_base[0], self.base)
+        except DegeneratePoint as exc:
+            raise ValueError(f"the state is refused: {exc}") from None
 
 
 def canonical_state_mu_nu(mu: float = 1.0, nu: complex = 0j, base: complex = 0j) -> np.ndarray:
@@ -195,12 +198,15 @@ def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, observer=None) -
         c = _hill_series(r, y[:2], y[2:4], _ORDER)
         hk = h**_POWERS
         weights = np.stack([hk, _POWERS * np.concatenate([[0.0], hk[:-1]])])  # of c_k in w and in w'
+        # an overflow gives inf silently; the readers of the pair refuse it (spinor_metric)
         with np.errstate(all="ignore"):
             new = np.tensordot(weights, c, axes=1).reshape(4, -1)
             tail = np.abs(weights[:, -2:, None, None] * c[-2:]).sum(axis=1).reshape(4, -1)
             err = float(np.max(tail / (DEFAULT_ATOL + DEFAULT_RTOL * np.maximum(np.abs(y[:4]), np.abs(new)))))
+            if err <= 1.0 and len(y) > 4:
+                new = np.concatenate([new, y[4:] + _position_increments(c, h)])
         if err <= 1.0:
-            y = np.concatenate([new] + ([y[4:] + _position_increments(c, h)] if len(y) > 4 else []))
+            y = new
             s = 1.0 if last else s + frac
             if observer is not None:
                 observer(z0 + s * dz, y)
@@ -259,7 +265,7 @@ def integrate_hill(sys: HillSystem, path) -> PathSolution:
     y = sys.state_at_base.reshape(4, 1)
     observe([sys.base], y)
     for a, b in zip(path[:-1], path[1:]):
-        probe = sys.rho.eval(np.linspace(0.0, 1.0, 33) * (b - a) + a)
+        probe = eval_jet(sys.rho, np.linspace(0.0, 1.0, 33) * (b - a) + a, 0).value
         if not np.all(np.isfinite(probe)):
             raise PoleOnPath(f"rho has a pole on the segment {a} -> {b}")
         y = _advance(sys.rho, [a], b - a, y, observe)
@@ -319,8 +325,8 @@ def ql_factor(B):
 class ReconstructedSample:
     """Weierstrass data recovered at one path sample.
 
-    G is None where w1 vanishes (Gauss map pole); h and the metric are
-    still reported there.  All reconstructed data carries Hopf coefficient
+    G is None at a Gauss-map pole (see :func:`spinor_metric`); h and the
+    metric are still reported there.  All reconstructed data carries Hopf coefficient
     q = +1 (see HOPF_SIGN_CONVENTION).
     """
 
@@ -335,51 +341,64 @@ class ReconstructedSample:
 _SPINOR_TOL = 1e-13
 
 
+def spinor_metric(w1, w2, z):
+    """The one rule by which a surface is read from spinor pairs (w1, w2)
+    at the points ``z``, over arrays: returns |w1|^2 + |w2|^2 and the mask
+    of Gauss-map poles, |w1| <= _SPINOR_TOL max(|w1|, |w2|), where G = w2/w1
+    is infinite.  A metric factor lambda^2 = (|w1|^2 + |w2|^2)^2 that is not
+    a positive finite float raises DegeneratePoint."""
+    a1, a2 = np.abs(w1), np.abs(w2)
+    with np.errstate(all="ignore"):  # an overflow gives inf, which fails
+        norm_sq = a1 * a1 + a2 * a2
+        bad = ~((norm_sq * norm_sq > 0.0) & (norm_sq * norm_sq < np.inf))
+    if bad.any():
+        z = np.asarray(z)[bad][0]
+        raise DegeneratePoint(f"the metric factor (|w1|^2 + |w2|^2)^2 at z = {z} is not a positive finite float")
+    return norm_sq, a1 <= _SPINOR_TOL * np.maximum(a1, a2)
+
+
 def reconstruct_weierstrass(sol: PathSolution) -> list[ReconstructedSample]:
     """G = w2/w1 and h = -2 w1 w2 at every recorded sample, with the
-    induced metric factor lambda^2 = (|w1|^2 + |w2|^2)^2; a vanishing
-    spinor (w1 = 0) is a flagged sample."""
-    out = []
-    for z, w1, w2, _, _ in sol.samples:
-        scale = max(abs(w1), abs(w2), 1e-300)
-        pole = abs(w1) <= _SPINOR_TOL * scale
-        if not _metric_factor_fits(w1, w2):
-            raise DegeneratePoint(f"the metric factor (|w1|^2 + |w2|^2)^2 at z = {z} is not a positive finite float")
-        norm_sq = abs(w1) ** 2 + abs(w2) ** 2
-        out.append(
-            ReconstructedSample(
-                z=z,
-                G=None if pole else w2 / w1,
-                h=-2.0 * w1 * w2,
-                lambda_sq=norm_sq**2,
-                u=math.log(norm_sq),
-                gauss_pole=pole,
-            )
+    induced metric factor lambda^2 = (|w1|^2 + |w2|^2)^2; a Gauss-map pole
+    (see :func:`spinor_metric`) is a flagged sample, and a metric factor
+    that is not a positive finite float raises DegeneratePoint."""
+    z, w1, w2 = np.array([s[:3] for s in sol.samples]).T
+    norm_sq, pole = spinor_metric(w1, w2, z)
+    return [
+        ReconstructedSample(
+            z=zk,
+            G=None if pk else w2k / w1k,
+            h=-2.0 * w1k * w2k,
+            lambda_sq=nk**2,
+            u=math.log(nk),
+            gauss_pole=bool(pk),
         )
-    return out
+        for (zk, w1k, w2k, _, _), nk, pk in zip(sol.samples, norm_sq, pole)
+    ]
 
 
-def _metric_factor_fits(w1: complex, w2: complex) -> bool:
-    """Whether lambda^2 = (|w1|^2 + |w2|^2)^2 is a positive finite float.
-    Python float products overflow to inf where ``**`` raises."""
-    a1, a2 = float(abs(w1)), float(abs(w2))
-    norm_sq = a1 * a1 + a2 * a2
-    return 0.0 < norm_sq * norm_sq < math.inf
+def reconstructed_rho(states, rho: AnalyticExpr, z) -> np.ndarray:
+    """rho recovered from the states [[w1, w2], [w1', w2']] (shape (n, 2, 2))
+    at the n points ``z`` by
 
+        rho = 2 {R, z} - q''/q + (5/4) (q'/q)^2,
 
-def reconstructed_data_jets(state: np.ndarray, rho: AnalyticExpr, z: complex, order: int = 4):
-    """Jets of the reconstructed (G, h) at a point from the state there.
-
-    Higher Taylor coefficients of w1, w2 follow from the equation itself
-    (the recurrence of :func:`_hill_series`).  Returns (jet of G to order 3,
-    jet of h to order 2) ready for the entropy-coefficient formula.
+    the eight-term entropy formula written in G and q = -h G'/G.  Here
+    q = 2 (w1 w2' - w2 w1') comes from the jets of the spinors with no
+    division, and R is w2/w1 or w1/w2 ({1/G, z} = {G, z}), whichever has
+    the larger denominator.  So every term is regular wherever the pair
+    is, at a zero of w1 (a Gauss-map pole) or of w2 (G = 0) too.
     """
-    state = np.asarray(state, dtype=np.complex128)
-    c = _hill_series(eval_jet(rho, complex(z), order - 2).coeffs, state[0], state[1], order)
-    jw1, jw2 = Jet(complex(z), c[:, 0]), Jet(complex(z), c[:, 1])
-    jG = jet_div(jw2, jw1)
-    jh = -2.0 * jet_mul(jw1, jw2)
-    return jG.truncated(3), jh.truncated(2)
+    z = np.asarray(z, dtype=np.complex128)
+    states = np.asarray(states, dtype=np.complex128)
+    c = _hill_series(eval_jet(rho, z, 1).coeffs, states[:, 0].T, states[:, 1].T, 3)
+    w1, w2 = Jet(z, c[:, 0]), Jet(z, c[:, 1])
+    q = (2.0 * (w1 * w2.derivative_jet() - w2 * w1.derivative_jet())).coeffs
+    swap = np.abs(c[0, 0]) < np.abs(c[0, 1])
+    R = jet_div(Jet(z, np.where(swap, c[:, 0], c[:, 1])), Jet(z, np.where(swap, c[:, 1], c[:, 0]))).coeffs
+    with np.errstate(all="ignore"):
+        schwarzian = 6.0 * R[3] / R[1] - 6.0 * (R[2] / R[1]) ** 2
+        return 2.0 * schwarzian - 2.0 * q[2] / q[0] + 1.25 * (q[1] / q[0]) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +429,8 @@ def solve_on_grid(sys: HillSystem, grid: UniformGrid, with_positions: bool = Fal
     for i in range(1, nx):
         y = _advance(sys.rho, grid.xs[i - 1] + 1j * grid.ys, grid.xs[i] - grid.xs[i - 1], y)
         fields[:, :, i] = y
-        drift = max(drift, float(np.max(np.abs(y[0] * y[3] - y[1] * y[2] - 0.5))))
+        with np.errstate(all="ignore"):  # an overflowed pair, which its readers refuse
+            drift = max(drift, float(np.max(np.abs(y[0] * y[3] - y[1] * y[2] - 0.5))))
 
     out = {"w1": fields[0], "w2": fields[1], "w1p": fields[2], "w2p": fields[3], "wronskian_drift": drift}
     if with_positions:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import PoleOnPath
 from .geomnum import RectDomain, UniformGrid, integrate_segment
+from .hill import spinor_metric
 from .jets import AnalyticExpr, eval_jet, jet_div, jet_mul
 from .weierstrass import SurfaceFields, WeierstrassData
 
@@ -160,7 +161,7 @@ class SurfaceMesh:
     """Sampled immersion on a parameter grid (arrays indexed [iy, ix])."""
 
     grid: UniformGrid
-    zs: np.ndarray          # actual sample points (pole hits perturbed)
+    zs: np.ndarray          # sample points: the grid's nodes
     positions: np.ndarray   # (ny, nx, 3)
     normals: np.ndarray     # (ny, nx, 3), unit
     K: np.ndarray
@@ -231,19 +232,19 @@ def sample_mesh(
     not within ``tol``, or that touches a non-finite jet, is integrated
     adaptively to the same ``tol``.  So every edge integral is within
     ``tol`` by its estimate, and a position sums at most nx + ny - 2 of
-    them.  Grid nodes that hit data singularities exactly are perturbed by
-    half a step in x, and the fields are then taken on the perturbed grid.
+    them.  A node where the jets are not finite, such as a Gauss-map pole,
+    is a node like any other: the fields pass recovers its fields, and its
+    edges go to the adaptive engine, whose nodes never touch it.  A node
+    where the recovered h/G or hG is still not finite is a pole of the
+    data and raises PoleOnPath.
     """
     nx, ny = resolution
     grid = (domain or data.domain).grid(nx, ny)
     zs = grid.zs
     fields = SurfaceFields(data, zs)
-    bad = ~np.all(np.isfinite([j.value for j in fields.form_jets]), axis=0)
-    if np.any(bad):
-        zs = np.where(bad, zs + 0.5 * grid.hx, zs)
-        fields = SurfaceFields(data, zs)
-        if not np.all(np.isfinite([j.value[bad] for j in fields.form_jets])):
-            raise PoleOnPath("mesh nodes hit a non-removable singularity even after perturbation")
+    pole = ~(np.isfinite(fields.h_over_G) & np.isfinite(fields.hG))
+    if pole.any():
+        raise PoleOnPath(f"the Weierstrass data has a pole at the mesh node z = {zs[pole][0]}")
 
     r, p, h = (j.coeffs for j in fields.form_jets)
 
@@ -282,14 +283,16 @@ def spinor_mesh(grid: UniformGrid, fields: dict, rho: AnalyticExpr) -> SurfaceMe
     """The mesh of a surface rebuilt from a Hill pair (w1, w2) for ``rho``:
     ``fields`` as ``hill.solve_on_grid(..., with_positions=True)`` returns
     them on ``grid``.  lambda = |w1|^2 + |w2|^2, K = -1/lambda^4, G = w2/w1
-    and |T| = |rho|/(sqrt(2) lambda^2)."""
+    and |T| = |rho|/(sqrt(2) lambda^2), by the rule of
+    :func:`~entropydiff.hill.spinor_metric`: a metric factor that is not a
+    positive finite float raises DegeneratePoint."""
     w1, w2 = fields["w1"], fields["w2"]
-    norm_sq = np.abs(w1) ** 2 + np.abs(w2) ** 2
+    norm_sq, pole = spinor_metric(w1, w2, grid.zs)
     lam2 = norm_sq**2
-    K = -1.0 / lam2**2
     with np.errstate(all="ignore"):
-        G = np.where(np.abs(w1) > 0, w2 / np.where(w1 == 0, 1.0, w1), np.inf)
-        T = np.abs(rho.eval(grid.zs)) / (np.sqrt(2.0) * lam2)
+        K = -1.0 / lam2**2
+        G = np.where(pole, np.inf, w2 / np.where(pole, 1.0, w1))
+        T = np.abs(eval_jet(rho, grid.zs, 0).value) / (np.sqrt(2.0) * lam2)
         That = np.abs(K) * T
     positions = np.stack([fields["x1"], fields["x2"], fields["x3"]], axis=-1)
     return SurfaceMesh(grid, grid.zs, positions, inverse_stereographic(G), K, T, That, grid_faces(*grid.shape))

@@ -46,13 +46,13 @@ from .hill import (
     canonical_state_phi_alpha,
     integrate_hill,
     liouville_residual,
-    reconstructed_data_jets,
+    reconstructed_rho,
     solve_on_grid,
 )
-from .jets import AnalyticExpr, parse_expression
+from .jets import AnalyticExpr, eval_jet, parse_expression
 from .models import deformed_helicoid
 from .surface import SurfaceMesh, period_vector
-from .weierstrass import SurfaceFields, WeierstrassData, entropy_field, metric_fields, rho_from_jets
+from .weierstrass import SurfaceFields, WeierstrassData, entropy_field, metric_fields
 
 __all__ = [
     "TOLERANCES",
@@ -584,14 +584,16 @@ def ht_period_check(t: float) -> Report:
 
 
 def hill_round_trip(rho: AnalyticExpr, n_samples: int = 50, reach: complex = 1.0 + 0.8j, state=None) -> Report:
-    """Reconstruct data from a Hill system and recover rho through the
-    eight-term entropy formula at interior samples.
+    """Reconstruct data from a Hill system and recover rho at interior
+    samples.
 
     Integrates a Wronskian-1/2 system (``state`` or the canonical linear
     one) from 0 along a straight path subdivided at the sample points; at
-    each, (G, h) jets follow from the Hill states and the recovered rho is
-    compared with the input.  A sample where the recovered rho is not
-    finite (a zero of w1 or of w2 there) raises PoleAtPoint.
+    each, rho is recovered from the Hill state by
+    :func:`hill.reconstructed_rho` (the eight-term entropy formula in terms
+    of G and q, regular at the zeros of w1 and of w2) and compared with the
+    input.  A sample where the recovered rho is not finite raises
+    PoleAtPoint.
     """
     if state is None:
         state = canonical_state_mu_nu(1.0, 0.1)
@@ -599,13 +601,10 @@ def hill_round_trip(rho: AnalyticExpr, n_samples: int = 50, reach: complex = 1.0
     ts = np.linspace(0.15, 1.0, n_samples)
     pts = [complex(t * reach) for t in ts]
     sol = integrate_hill(sys, [0.0] + pts)
-    worst = 0.0
-    for zp in pts:
-        st = sol.states_at([zp])[0]
-        recovered = complex(rho_from_jets(*reconstructed_data_jets(st, rho, zp)))
-        if not np.isfinite(recovered):
-            raise PoleAtPoint(f"the rho recovered from the spinors is undefined at {zp}")
-        worst = max(worst, abs(recovered - rho.eval(zp)))
+    recovered = reconstructed_rho(sol.states_at(pts), rho, pts)
+    if not np.isfinite(recovered).all():
+        raise PoleAtPoint(f"the rho recovered from the spinors is undefined at {pts[np.argmin(np.isfinite(recovered))]}")
+    worst = np.abs(recovered - eval_jet(rho, pts, 0).value).max()
     tol = TOLERANCES["round_trip_rho"]
     ok = worst <= tol and sol.wronskian_drift <= TOLERANCES["wronskian_drift"]
     return Report(

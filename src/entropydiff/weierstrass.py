@@ -44,7 +44,6 @@ from .jets import AnalyticExpr, Jet, const, eval_jet, jet_div, jet_mul
 __all__ = [
     "WeierstrassData",
     "MetricSample",
-    "QuadDiffSample",
     "SurfaceFields",
     "metric_fields",
     "metric_sample",
@@ -53,8 +52,6 @@ __all__ = [
     "entropy_field",
     "entropy_coefficient",
     "rho_from_derivatives",
-    "rho_from_jets",
-    "quad_diff_sample",
     "schwarzian",
     "norm_fields",
     "entropy_form_norms",
@@ -137,15 +134,6 @@ class MetricSample:
     A_norm_sq: float
 
 
-@dataclass
-class QuadDiffSample:
-    """Hopf and entropy coefficients at one point (Q = q dz^2, P = (rho/2) dz^2)."""
-
-    z: complex
-    q: complex
-    rho: complex
-
-
 def rho_from_derivatives(G, G1, G2, G3, h, h1, h2):
     """The eight-term entropy coefficient from pointwise derivatives.
 
@@ -205,11 +193,6 @@ def _rho_and_scale(jG, jh):
         terms = _rho_terms(*_derivatives(jG, jh))
         rho = np.asarray(sum(terms[1:], terms[0]), dtype=np.complex128)
         return rho, np.max([np.abs(t) for t in terms], axis=0)
-
-
-def rho_from_jets(jG, jh) -> np.ndarray:
-    """rho from a jet of G (order >= 3) and a jet of h (order >= 2)."""
-    return np.asarray(rho_from_derivatives(*_derivatives(jG, jh)), dtype=np.complex128)
 
 
 def _circle_means(data: WeierstrassData, centers: np.ndarray) -> np.ndarray:
@@ -381,15 +364,6 @@ def _hopf_at(f: SurfaceFields) -> complex:
     return q
 
 
-def _entropy_at(f: SurfaceFields) -> complex:
-    if abs(_hopf_at(f)) <= _UMBILIC_RTOL:  # raises PoleAtPoint on data poles
-        raise UmbilicPoint(f"umbilic point at {f.z[0]}: entropy differential has a double pole")
-    rho = complex(f.rho[0])
-    if not np.isfinite(rho):
-        raise PoleAtPoint(f"entropy coefficient undefined at {f.z[0]}")
-    return rho
-
-
 def metric_sample(data: WeierstrassData, z: complex) -> MetricSample:
     """Metric, curvature, u and |A|^2 at a single point."""
     mf = _at_point(data, z).metric
@@ -413,13 +387,13 @@ def entropy_coefficient(data: WeierstrassData, z: complex) -> complex:
     where rho is singular even after recovery (a genuine pole of the data;
     a Gauss-map pole of a regular surface is recovered).
     """
-    return _entropy_at(_at_point(data, z))
-
-
-def quad_diff_sample(data: WeierstrassData, z: complex) -> QuadDiffSample:
-    """Hopf and entropy coefficients bundled at one non-umbilic point."""
     f = _at_point(data, z)
-    return QuadDiffSample(z=complex(z), q=_hopf_at(f), rho=_entropy_at(f))
+    if abs(_hopf_at(f)) <= _UMBILIC_RTOL:  # raises PoleAtPoint on data poles
+        raise UmbilicPoint(f"umbilic point at {z}: entropy differential has a double pole")
+    rho = complex(f.rho[0])
+    if not np.isfinite(rho):
+        raise PoleAtPoint(f"entropy coefficient undefined at {z}")
+    return rho
 
 
 def entropy_form_norms(data: WeierstrassData, z: complex):

@@ -157,6 +157,8 @@ def test_norm_on_the_whole_strip_reports_its_estimate_in_repeatable_bytes(tmp_pa
         ("norm", "--surface", "catenoid", "--tol", "1e-15"),
         # NaN fields at |x| = 30
         ("norm", "--surface", "deformed-catenoid", "--t", "0.999"),
+        # tol under the rounding floor of the adaptive engine
+        ("norm", "--surface", "catenoid", "--x-cut", "20", "--tol", "1e-15"),
     ],
 )
 def test_norm_that_cannot_converge_ends_quickly(tmp_path, argv):
@@ -170,6 +172,41 @@ def test_a_metric_factor_that_overflows_on_the_path_is_a_numeric_failure(tmp_pat
     # the state at 0 is representable; w2 = z/(2 mu) is not squared twice
     code, doc = _run(tmp_path, "reconstruct", "--rho", "0", "--mu", "1e-78")
     assert code == 2 and doc["error"]["code"] == "degenerate-point"
+
+
+def test_a_metric_factor_that_overflows_on_the_mesh_is_a_numeric_failure(tmp_path):
+    # |w| ~ e^200 at x = -2: the path and the round trip fit, the mesh does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = _run(
+            tmp_path, "reconstruct", "--rho=-40000", "--phi", "0", "--alpha", "200",
+            "--domain=-2,0.2,-2,0.2", "--grid", "16x16",
+            "--obj", str(tmp_path / "a.obj"), "--sidecar", str(tmp_path / "a.json"),
+        )
+    assert code == 2 and doc["error"]["code"] == "degenerate-point"
+
+
+def test_reconstruct_reads_rho_at_its_removable_points(tmp_path):
+    code, doc = _run(tmp_path, "reconstruct", "--rho", "z/z", "--grid", "8x8")
+    assert code == 0 and doc["round_trip"]["pass"]
+    # rho = 1 - z, removable at z = 0, a node of the 9x9 grid
+    side = tmp_path / "r.json"
+    code, doc = _run(
+        tmp_path, "reconstruct", "--rho", "(z^2-z^2*z)/z^2", "--grid", "9x9",
+        "--obj", str(tmp_path / "r.obj"), "--sidecar", str(side),
+    )
+    assert code == 0 and doc["round_trip"]["pass"]
+    T = json.loads(side.read_text())["T_norm"]
+    assert all(map(math.isfinite, T)) and T[40] > 0
+
+
+def test_mesh_node_on_a_pole_of_the_data_is_a_numeric_failure(tmp_path):
+    # h/G = 1/z^2: a pole of the Weierstrass 1-forms at the node z = 0
+    code, doc = _run(
+        tmp_path, "mesh", "--G", "z", "--h", "1/z", "--domain", "-1,1,-1,1", "--grid", "9x9",
+        "--obj", str(tmp_path / "m.obj"),
+    )
+    assert code == 2 and doc["error"]["code"] == "pole-on-path"
 
 
 def test_norm_keeps_the_domain_of_a_periodic_surface(tmp_path):

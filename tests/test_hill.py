@@ -15,7 +15,7 @@ from entropydiff.hill import (
     ql_factor,
     rebase,
     reconstruct_weierstrass,
-    reconstructed_data_jets,
+    reconstructed_rho,
     solve_on_grid,
 )
 from entropydiff.jets import Z, const
@@ -272,20 +272,27 @@ def test_reconstruct_flags_gauss_pole():
 
 
 def test_round_trip_recovers_entropy_coefficient():
-    # the module's master test: Hill solve -> (G, h) jets -> eight-term rho
+    # the module's master test: Hill solve -> spinor jets -> rho in G and q
     for rho in (const(0.0), const(-1.0), const(-1j), Z):
         sys = HillSystem(rho, 0.0, canonical_state_mu_nu(1.0, 0.1))
         pts = [0.25 + 0.2j, 0.6 - 0.3j, 1.1 + 0.7j]
         sol = integrate_hill(sys, [0.0] + pts)
-        for zp in pts:
-            st = sol.states_at([zp])[0]
-            jG, jh = reconstructed_data_jets(st, rho, zp)
-            rhat = rho_from_derivatives(
-                jG.coeffs[0], jG.coeffs[1], 2 * jG.coeffs[2], 6 * jG.coeffs[3],
-                jh.coeffs[0], jh.coeffs[1], 2 * jh.coeffs[2],
-            )
-            assert abs(rhat - rho.eval(zp)) < 1e-8
+        rhat = reconstructed_rho(sol.states_at(pts), rho, pts)
+        assert np.abs(rhat - rho.eval(np.array(pts))).max() < 1e-8
         assert sol.wronskian_drift < 1e-10
+
+
+def test_rho_in_g_and_q_is_the_eight_term_formula():
+    # the identity behind hill.reconstructed_rho: under h = -q G/G' the eight
+    # terms equal 2 {G, z} - q''/q + (5/4)(q'/q)^2 for any G and q
+    sp = pytest.importorskip("sympy")
+    z = sp.symbols("z")
+    G, q = sp.Function("G")(z), sp.Function("q")(z)
+    h = -q * G / G.diff(z)
+    eight = rho_from_derivatives(G, *(G.diff(z, k) for k in (1, 2, 3)), h, h.diff(z), h.diff(z, 2))
+    schwarzian = G.diff(z, 3) / G.diff(z) - sp.Rational(3, 2) * (G.diff(z, 2) / G.diff(z)) ** 2
+    target = 2 * schwarzian - q.diff(z, 2) / q + sp.Rational(5, 4) * (q.diff(z) / q) ** 2
+    assert sp.simplify(sp.nsimplify(eight) - target) == 0
 
 
 # --- grids and the Liouville equation -----------------------------------------

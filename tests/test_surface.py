@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from entropydiff.errors import PoleOnPath
+from entropydiff.errors import DegeneratePoint, PoleOnPath
 from entropydiff.geomnum import RectDomain
 from entropydiff.hill import HillSystem, canonical_state_mu_nu, solve_on_grid
 from entropydiff import surface
@@ -112,15 +112,43 @@ def test_mesh_normals_orthogonal_to_tangents_and_conformal():
     assert np.abs(lx / lam - 1.0).max() < 5e-3
 
 
-def test_mesh_perturbs_exact_pole_nodes():
-    m5 = deformed_catenoid(0.5)
-    dom = RectDomain(np.log(2.0) - 1.0, np.log(2.0) + 1.0, -1.0, 1.0)
-    mesh = sample_mesh(m5.data, (9, 9), domain=dom)
-    assert np.all(np.isfinite(mesh.positions))
-    assert np.all(np.isfinite(mesh.normals))
-    assert np.all(np.isfinite(mesh.K))
-    moved = np.abs(mesh.zs - mesh.grid.zs) > 0
-    assert moved.sum() >= 1  # the exact hit at z = log 2 was displaced
+@pytest.mark.parametrize(
+    "t, n, domain, poles",
+    [
+        # the Gauss map of C_t has a pole at z = -log t (mod 2 pi i), here on a node
+        (0.5, 9, RectDomain(np.log(2.0) - 1.0, np.log(2.0) + 1.0, -1.0, 1.0), [(4, 4)]),
+        (np.exp(-1.0), 13, None, [(0, 10), (12, 10)]),
+    ],
+    ids=["half", "inv_e"],
+)
+def test_mesh_samples_a_gauss_map_pole_on_its_node(t, n, domain, poles):
+    m = deformed_catenoid(t)
+    mesh = sample_mesh(m.data, (n, n), domain=domain)
+    g = mesh.grid
+    assert np.array_equal(mesh.zs, g.zs)
+    origin = m.closed_form(g.xs[0], g.ys[0])
+    ref = np.array([[m.closed_form(x, y) - origin for x in g.xs] for y in g.ys])
+    assert np.abs(mesh.positions - ref).max() < 1e-12
+    for iy, ix in poles:
+        assert abs(g.zs[iy, ix] - complex(-np.log(t), 2 * np.pi * round(g.ys[iy] / (2 * np.pi)))) < 1e-14
+        assert np.isfinite(mesh.K[iy, ix]) and mesh.K[iy, ix] < 0
+        assert np.array_equal(mesh.normals[iy, ix], [0.0, 0.0, 1.0])
+    assert np.isfinite(mesh.T_norm).all() and np.isfinite(mesh.That_norm).all()
+
+
+def test_spinor_mesh_reads_the_pair_by_the_spinor_rule():
+    # hill.spinor_metric: |w1| <= 1e-13 |w2| is a Gauss-map pole, and a
+    # metric factor (|w1|^2 + |w2|^2)^2 that overflows is refused
+    grid = RectDomain(-1.0, 1.0, -1.0, 1.0).grid(5, 5)
+    fields = {k: np.ones(grid.shape, dtype=np.complex128) for k in ("w1", "w2")}
+    fields.update({k: np.zeros(grid.shape) for k in ("x1", "x2", "x3")})
+    fields["w1"][2, 2] = 1e-14
+    mesh = surface.spinor_mesh(grid, fields, const(-1.0))
+    assert np.array_equal(mesh.normals[2, 2], [0.0, 0.0, 1.0])
+    assert np.allclose(mesh.normals[0, 0], [1.0, 0.0, 0.0])
+    fields["w2"][0, 0] = 1e155
+    with pytest.raises(DegeneratePoint):
+        surface.spinor_mesh(grid, fields, const(-1.0))
 
 
 def test_enneper_mesh_matches_hill_route_after_alignment():
