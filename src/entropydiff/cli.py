@@ -193,7 +193,7 @@ def _surface_from_args(args) -> tuple[WeierstrassData, dict]:
     G = parse_expression(args.G)
     h = parse_expression(args.h)
     dom = _parse_domain(args.domain)
-    data = WeierstrassData(G, h, dom, periodic_y=args.periodic_y, label="custom")
+    data = WeierstrassData(G, h, dom, label="custom")
     return data, {"G": args.G, "h": args.h, "domain": args.domain}
 
 
@@ -204,7 +204,6 @@ def _add_surface_args(p: argparse.ArgumentParser):
     p.add_argument("--G", help="Gauss map expression, e.g. '-exp(z)'")
     p.add_argument("--h", help="height differential coefficient expression")
     p.add_argument("--domain", help="rectangle x0,x1,y0,y1")
-    p.add_argument("--periodic-y", dest="periodic_y", type=float, help="y-period of the data")
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +317,9 @@ def cmd_verify(args) -> dict:
     if not checks:
         raise BadInput("no checks requested")
     delta = _positive("--delta", args.delta)
-    patch = RectDomain(1.0, 3.0, -1.0, 1.0) if args.surface == "enneper" else RectDomain(-1.0, 1.0, -1.0, 1.0)
-    if args.domain is not None:
-        patch = _parse_domain(args.domain)
-    # float counts (rint ties to even, like round()) so a side / delta that overflows reaches the check
-    n, ny = (max(8.0, np.rint(s / delta) + 1.0) for s in (patch.x1 - patch.x0, patch.y1 - patch.y0))
+    patch = RectDomain(-1.0, 1.0, -1.0, 1.0) if args.domain is None else _parse_domain(args.domain)
+    # float counts (rint ties to even) let an overflowing side / delta reach the check; 9 nodes give 5 at stride 2
+    n, ny = (max(9.0, np.rint(s / delta) + 1.0) for s in (patch.x1 - patch.x0, patch.y1 - patch.y0))
     _check_nodes(n, ny)
     grid = patch.grid(int(n), int(ny))
     with _refused_as_bad_input():

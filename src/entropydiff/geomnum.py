@@ -87,6 +87,11 @@ class UniformGrid:
     def shape(self):
         return (self.ny, self.nx)
 
+    def every_other_node(self) -> "UniformGrid":
+        """The nodes of even index on both axes: the same rectangle's grid at twice the spacing."""
+        xs, ys = self.xs[::2], self.ys[::2]
+        return UniformGrid(RectDomain(xs[0], xs[-1], ys[0], ys[-1]), len(xs), len(ys))
+
     def same_as(self, other: "UniformGrid") -> bool:
         return (
             self.shape == other.shape
@@ -238,10 +243,11 @@ def _adaptive(g, d: int, tol: float, max_panels: int, what: str):
     along every axis, and the children of all open panels of a level are
     evaluated together, at most ``_CALL_POINTS`` points per call of ``g``.
     A panel is accepted when max |children - parent| over the components is
-    at most ``tol`` times its volume.  Acceptance is local, so the panel tree
-    does not depend on the order panels are evaluated in; the budget is
-    checked before a level is evaluated, and a ``tol`` not above the rounding
-    floor 8 eps max|first estimate| is refused after the first level.
+    at most ``tol`` times its volume, or within rounding (8 eps max
+    sum|children|).  Acceptance is local, so the panel tree does not depend
+    on the order panels are evaluated in; the budget is checked before a
+    level is evaluated, and a ``tol`` not above the rounding floor
+    8 eps max|first estimate| is refused after the first level.
     Accepted values are summed level by level in panel order.  Returns
     (value, error, panels).
     """
@@ -271,9 +277,11 @@ def _adaptive(g, d: int, tol: float, max_panels: int, what: str):
         h *= 0.5
         corners = (corners[:, None, :] + h * offsets).reshape(-1, d)
         kids = values(corners, h)
-        refined = kids.reshape(kids.shape[:-1] + (-1, 2**d)).sum(axis=-1)
+        siblings = kids.reshape(kids.shape[:-1] + (-1, 2**d))
+        refined = siblings.sum(axis=-1)
         err = np.abs(refined - parent).reshape(-1, refined.shape[-1]).max(axis=0)
-        done = err <= tol * (2 * h) ** d
+        rounding = 8.0 * np.finfo(float).eps * np.abs(siblings).sum(axis=-1).reshape(-1, refined.shape[-1]).max(axis=0)
+        done = (err <= tol * (2 * h) ** d) | (err <= rounding)
         accepted.append(refined[..., done])
         errors.append(err[done])
         open_ = np.repeat(~done, 2**d)

@@ -115,6 +115,27 @@ def test_verify_soliton_enneper(tmp_path):
     assert doc["all_passed"]
 
 
+@pytest.mark.parametrize("surface", [("enneper",), ("deformed-catenoid", "--t", "0.35"), ("deformed-helicoid", "--t", "0.35")])
+def test_default_verify_passes_on_every_surface_over_one_patch(tmp_path, surface):
+    # ricci and ecritical over [-1, 1]^2 at delta = 0.01, judged by their observed order
+    code, doc = _run(tmp_path, "verify", "--surface", *surface)
+    assert code == 0 and doc["all_passed"]
+    assert [r["params"]["nx"] for r in doc["reports"]] == [201, 201]
+    assert all(1.8 <= r["stats"]["observed_order"] <= 2.2 and r["tol"] == 1.5 for r in doc["reports"])
+
+
+def test_verify_floor_leaves_every_other_node_a_stencil(tmp_path):
+    code, doc = _run(tmp_path, "verify", "--surface", "catenoid", "--delta", "1", "--checks", "ricci,liouville")
+    assert code == 0
+    assert doc["reports"][1]["params"]["nx"] == 9
+
+
+def test_periodic_y_is_not_an_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "--G", "-exp(z)", "--h", "1", "--domain=-1,1,0,6.28", "--periodic-y", "6.28"])
+    assert exc.value.code == 1
+
+
 def test_verify_liouville_and_ht_period(tmp_path):
     code, doc = _run(tmp_path, "verify", "--surface", "catenoid", "--checks", "liouville", "--delta", "0.02")
     assert code == 0 and doc["all_passed"]
@@ -159,6 +180,8 @@ def test_norm_on_the_whole_strip_reports_its_estimate_in_repeatable_bytes(tmp_pa
         ("norm", "--surface", "deformed-catenoid", "--t", "0.999"),
         # tol under the rounding floor of the adaptive engine
         ("norm", "--surface", "catenoid", "--x-cut", "20", "--tol", "1e-15"),
+        # tol just above it: panels within rounding of their children are accepted
+        ("norm", "--surface", "catenoid", "--x-cut", "20", "--tol", "2e-14"),
     ],
 )
 def test_norm_that_cannot_converge_ends_quickly(tmp_path, argv):
@@ -276,6 +299,8 @@ def test_stencil_checks_guard_a_zero_on_a_node(tmp_path, surface, check):
     assert code == 0
     assert [r["check"] for r in doc["reports"]] == [check]
     assert all(math.isfinite(v) for v in doc["reports"][0]["stats"].values())
+    # beside the guard the identities still hold at each node; the soliton condition does not
+    assert doc["reports"][0]["pass"] == (check != "soliton")
 
 
 @pytest.mark.parametrize("check", ["ricci", "ecritical", "soliton"])
@@ -347,6 +372,8 @@ def test_numeric_failure_exit_code(tmp_path):
         ("norm", "--surface", "enneper", "--mu", "1e200"),
         # more samples than MAX_SAMPLES, refused before the Hill march
         ("reconstruct", "--rho", "1", "--samples", str(MAX_SAMPLES + 1)),
+        # an expression surface has no catalog rho for liouville
+        ("verify", "--G", "z", "--h", "1", "--domain=-1,1,-1,1", "--checks", "liouville"),
     ],
 )
 def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, monkeypatch, capsys, argv):
@@ -364,6 +391,7 @@ def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, mon
     code, doc = _run(tmp_path, *argv)
     assert code == 1
     assert doc["error"]["code"] == "bad-input"
+    assert "None" not in doc["error"]["message"]  # an expression surface is named as such
     assert capsys.readouterr().err == ""
 
 

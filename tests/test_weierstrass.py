@@ -204,6 +204,29 @@ def test_holomorphy_of_entropy_coefficient():
     assert 1.8 <= slope <= 2.2
 
 
+def _random_data(seed, draws=200, points=64):
+    """Seeded (data, points): polynomial G of degree 1-3, half of them times
+    exp(cz), and polynomial h of degree 0-2, at random points of the unit square."""
+    rng = np.random.default_rng(seed)
+
+    def poly(degree):
+        c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        return sum((complex(ck) * Z**k for k, ck in enumerate(c) if k), const(complex(c[0])))
+
+    for _ in range(draws):
+        G = poly(rng.integers(1, 4))
+        if rng.random() < 0.5:
+            G = G * exp(complex(rng.normal(), rng.normal()) * Z)
+        zs = rng.uniform(-1, 1, points) + 1j * rng.uniform(-1, 1, points)
+        yield WeierstrassData(G, poly(rng.integers(0, 3)), RectDomain.square(1.0)), zs
+
+
+def _assert_close(got, want, rtol=1e-12):
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    ok = np.isfinite(want)
+    assert np.all(np.abs(got[ok] - want[ok]) <= rtol * np.abs(want[ok]))
+
+
 def test_scale_law_h_rescaling():
     # h -> lambda h leaves rho unchanged and multiplies q by lambda
     data = catenoid_data()
@@ -212,6 +235,12 @@ def test_scale_law_h_rescaling():
         for z in (0.2 + 0.1j, -0.7 + 2.0j):
             assert abs(entropy_coefficient(scaled, z) - entropy_coefficient(data, z)) < 1e-12
             assert abs(hopf_coefficient(scaled, z) - lam * hopf_coefficient(data, z)) < 1e-12
+    rng = np.random.default_rng(21)
+    lams = rng.uniform(0.1, 10.0, 200) * np.exp(2j * np.pi * rng.random(200))
+    for (data, zs), lam in zip(_random_data(23), lams):
+        base, scaled = SurfaceFields(data, zs), SurfaceFields(data.rescaled(complex(lam)), zs)
+        _assert_close(scaled.rho, base.rho)
+        _assert_close(scaled.q, lam * base.q)
 
 
 def test_reflection_preserves_pointwise_norms():
@@ -222,6 +251,11 @@ def test_reflection_preserves_pointwise_norms():
             Tm, Thatm = entropy_form_norms(mirrored, np.conj(z))
             assert abs(T - Tm) < 1e-11 * max(1.0, T)
             assert abs(That - Thatm) < 1e-11 * max(1.0, That)
+    for data, zs in _random_data(24):
+        f, m = SurfaceFields(data, zs), SurfaceFields(data.reflected(), np.conj(zs))
+        _assert_close(m.rho, np.conj(f.rho))
+        for got, want in zip(m.norms, f.norms):
+            _assert_close(got, want)
 
 
 def test_domain_membership_enforced():
