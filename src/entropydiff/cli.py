@@ -327,7 +327,7 @@ def cmd_verify(args) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "command": "verify",
-        "params": {**params, "checks": checks, "delta": delta},
+        "params": {**params, "checks": checks, "delta": max(grid.hx, grid.hy)},
         "reports": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),
     }

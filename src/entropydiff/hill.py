@@ -32,6 +32,7 @@ import numpy as np
 from .errors import DegeneratePoint, NotUnimodular, PoleOnPath, StepFailure
 from .geomnum import ConformalMetricField, ScalarField, UniformGrid, interior_stats, laplacian_conformal
 from .jets import AnalyticExpr, Jet, eval_jet, jet_div
+from .weierstrass import metric_from, taylor_schwarzian, weierstrass_forms
 
 __all__ = [
     "HOPF_SIGN_CONVENTION",
@@ -60,8 +61,8 @@ HOPF_SIGN_CONVENTION = +1
 _WRONSKIAN_TOL = 1e-10
 
 
-def _wronskian(state: np.ndarray):
-    return state[..., 0, 0] * state[..., 1, 1] - state[..., 0, 1] * state[..., 1, 0]
+def _wronskian(w1, w2, w1p, w2p):
+    return w1 * w2p - w2 * w1p
 
 
 @dataclass
@@ -82,7 +83,7 @@ class HillSystem:
         if self.state_at_base.shape != (2, 2):
             raise ValueError("state must be a 2x2 matrix [[w1,w2],[w1',w2']]")
         with np.errstate(all="ignore"):  # a non-finite state gives NaN, which fails
-            w = complex(_wronskian(self.state_at_base))
+            w = complex(_wronskian(*self.state_at_base.reshape(4)))
         if not abs(w - 0.5) <= _WRONSKIAN_TOL:
             raise ValueError(f"Wronskian must be 1/2, got {w}")
         try:
@@ -160,21 +161,22 @@ def _hill_series(r, w, wp, order: int) -> np.ndarray:
 
 
 def _position_increments(c: np.ndarray, h: complex) -> np.ndarray:
-    """Integrals over one step h of w2^2 - w1^2, -i (w1^2 + w2^2) and
-    -2 w1 w2, term by term from the Taylor coefficients ``c`` of (w1, w2)."""
+    """Integrals over one step h of the Weierstrass 1-forms of the pair,
+    whose h/G, hG and h are -2 w1^2, -2 w2^2 and -2 w1 w2: term by term
+    from the Taylor coefficients ``c`` of (w1, w2)."""
     m = np.tensordot(h**_SPANS / _SPANS, c, axes=1)
     s11, s22, s12 = ((c[:, a] * m[:, b]).sum(axis=0) for a, b in ((0, 0), (1, 1), (0, 1)))
-    return np.stack([s22 - s11, -1j * (s11 + s22), -2.0 * s12])
+    return weierstrass_forms(-2.0 * s11, -2.0 * s22, -2.0 * s12)
 
 
 def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, observer=None) -> np.ndarray:
     """Carry states from the points ``z0`` to ``z0 + dz`` by Taylor steps.
 
     ``y`` has one column per point and the rows (w1, w2, w1', w2'),
-    optionally followed by the position integrals of w2^2 - w1^2,
-    -i (w1^2 + w2^2) and -2 w1 w2.  All columns share each step h: one jet
-    of rho at every point gives the series of w, summed for w and w' and
-    integrated term by term for the positions.  A step is accepted when the
+    optionally followed by the integrals of the pair's Weierstrass 1-forms
+    (positions).  All columns share each step h: one jet of rho at every
+    point gives the series of w, summed for w and w' and integrated term by
+    term for the positions.  A step is accepted when the
     last two terms of each series of w and of w' are within DEFAULT_ATOL +
     DEFAULT_RTOL max(|old value|, |new value|), and split otherwise (w alone
     would leave w' off by ~N times that tail near a singularity of rho).
@@ -259,7 +261,7 @@ def integrate_hill(sys: HillSystem, path) -> PathSolution:
 
     def observe(z, y):
         w1, w2, w1p, w2p = (complex(v) for v in y[:, 0])
-        sol.wronskian_drift = max(sol.wronskian_drift, abs(w1 * w2p - w2 * w1p - 0.5))
+        sol.wronskian_drift = max(sol.wronskian_drift, abs(_wronskian(w1, w2, w1p, w2p) - 0.5))
         sol.samples.append((complex(z[0]), w1, w2, w1p, w2p))
 
     y = sys.state_at_base.reshape(4, 1)
@@ -343,37 +345,31 @@ _SPINOR_TOL = 1e-13
 
 def spinor_metric(w1, w2, z):
     """The one rule by which a surface is read from spinor pairs (w1, w2)
-    at the points ``z``, over arrays: returns |w1|^2 + |w2|^2 and the mask
-    of Gauss-map poles, |w1| <= _SPINOR_TOL max(|w1|, |w2|), where G = w2/w1
-    is infinite.  A metric factor lambda^2 = (|w1|^2 + |w2|^2)^2 that is not
-    a positive finite float raises DegeneratePoint."""
+    at the points ``z``, over arrays: returns the metric of ``metric_from``
+    for h/G = -2 w1^2, hG = -2 w2^2 and q = 2W = 1, and the mask of
+    Gauss-map poles, |w1| <= _SPINOR_TOL max(|w1|, |w2|), where G = w2/w1 is
+    infinite.  A metric factor lambda^2 = (|w1|^2 + |w2|^2)^2 that is not a
+    positive finite float raises DegeneratePoint."""
     a1, a2 = np.abs(w1), np.abs(w2)
     with np.errstate(all="ignore"):  # an overflow gives inf, which fails
-        norm_sq = a1 * a1 + a2 * a2
-        bad = ~((norm_sq * norm_sq > 0.0) & (norm_sq * norm_sq < np.inf))
+        metric = metric_from(2.0 * a1 * a1, 2.0 * a2 * a2, 1.0)  # it reads only |h/G| and |hG|
+    bad = ~((metric["lambda_sq"] > 0.0) & (metric["lambda_sq"] < np.inf))
     if bad.any():
         z = np.asarray(z)[bad][0]
         raise DegeneratePoint(f"the metric factor (|w1|^2 + |w2|^2)^2 at z = {z} is not a positive finite float")
-    return norm_sq, a1 <= _SPINOR_TOL * np.maximum(a1, a2)
+    return metric, a1 <= _SPINOR_TOL * np.maximum(a1, a2)
 
 
 def reconstruct_weierstrass(sol: PathSolution) -> list[ReconstructedSample]:
-    """G = w2/w1 and h = -2 w1 w2 at every recorded sample, with the
-    induced metric factor lambda^2 = (|w1|^2 + |w2|^2)^2; a Gauss-map pole
-    (see :func:`spinor_metric`) is a flagged sample, and a metric factor
-    that is not a positive finite float raises DegeneratePoint."""
+    """G = w2/w1 and h = -2 w1 w2 at every recorded sample, with lambda^2
+    and u = log(|w1|^2 + |w2|^2) of the metric :func:`spinor_metric` reads;
+    a Gauss-map pole is a flagged sample, and a metric factor that is not a
+    positive finite float raises DegeneratePoint."""
     z, w1, w2 = np.array([s[:3] for s in sol.samples]).T
-    norm_sq, pole = spinor_metric(w1, w2, z)
+    metric, pole = spinor_metric(w1, w2, z)
     return [
-        ReconstructedSample(
-            z=zk,
-            G=None if pk else w2k / w1k,
-            h=-2.0 * w1k * w2k,
-            lambda_sq=nk**2,
-            u=math.log(nk),
-            gauss_pole=bool(pk),
-        )
-        for (zk, w1k, w2k, _, _), nk, pk in zip(sol.samples, norm_sq, pole)
+        ReconstructedSample(zk, None if pk else w2k / w1k, -2.0 * w1k * w2k, float(lk), float(uk), bool(pk))
+        for (zk, w1k, w2k, _, _), lk, uk, pk in zip(sol.samples, metric["lambda_sq"], metric["u"], pole)
     ]
 
 
@@ -393,12 +389,11 @@ def reconstructed_rho(states, rho: AnalyticExpr, z) -> np.ndarray:
     states = np.asarray(states, dtype=np.complex128)
     c = _hill_series(eval_jet(rho, z, 1).coeffs, states[:, 0].T, states[:, 1].T, 3)
     w1, w2 = Jet(z, c[:, 0]), Jet(z, c[:, 1])
-    q = (2.0 * (w1 * w2.derivative_jet() - w2 * w1.derivative_jet())).coeffs
+    q = (2.0 * _wronskian(w1, w2, w1.derivative_jet(), w2.derivative_jet())).coeffs
     swap = np.abs(c[0, 0]) < np.abs(c[0, 1])
     R = jet_div(Jet(z, np.where(swap, c[:, 0], c[:, 1])), Jet(z, np.where(swap, c[:, 1], c[:, 0]))).coeffs
     with np.errstate(all="ignore"):
-        schwarzian = 6.0 * R[3] / R[1] - 6.0 * (R[2] / R[1]) ** 2
-        return 2.0 * schwarzian - 2.0 * q[2] / q[0] + 1.25 * (q[1] / q[0]) ** 2
+        return 2.0 * taylor_schwarzian(R) - 2.0 * q[2] / q[0] + 1.25 * (q[1] / q[0]) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +425,7 @@ def solve_on_grid(sys: HillSystem, grid: UniformGrid, with_positions: bool = Fal
         y = _advance(sys.rho, grid.xs[i - 1] + 1j * grid.ys, grid.xs[i] - grid.xs[i - 1], y)
         fields[:, :, i] = y
         with np.errstate(all="ignore"):  # an overflowed pair, which its readers refuse
-            drift = max(drift, float(np.max(np.abs(y[0] * y[3] - y[1] * y[2] - 0.5))))
+            drift = max(drift, float(np.max(np.abs(_wronskian(*y[:4]) - 0.5))))
 
     out = {"w1": fields[0], "w2": fields[1], "w1p": fields[2], "w2p": fields[3], "wronskian_drift": drift}
     if with_positions:

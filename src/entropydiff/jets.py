@@ -405,11 +405,6 @@ class Jet:
             raise OrderOverflow(f"jet of order {self.order} has no derivative {k}")
         return self.coeffs[k] * _FACTORIAL[k]
 
-    def truncated(self, order: int) -> "Jet":
-        if order > self.order:
-            raise OrderOverflow(f"cannot extend jet of order {self.order} to {order}")
-        return Jet(self.base, self.coeffs[: order + 1])
-
     def derivative_jet(self) -> "Jet":
         """Jet of f' at the same base, one order lower."""
         if self.order < 1:

@@ -31,7 +31,7 @@ from .errors import PoleOnPath
 from .geomnum import RectDomain, UniformGrid, integrate_segment
 from .hill import spinor_metric
 from .jets import AnalyticExpr, eval_jet, jet_div, jet_mul
-from .weierstrass import SurfaceFields, WeierstrassData
+from .weierstrass import SurfaceFields, WeierstrassData, norms_from, weierstrass_forms
 
 __all__ = [
     "ImmersionPoint",
@@ -51,7 +51,8 @@ SEGMENT_TOL = 1e-10
 
 
 def weierstrass_integrand(data: WeierstrassData):
-    """The three 1-form coefficients ((G^-1 - G)h/2, i(G^-1 + G)h/2, h).
+    """The three 1-form coefficients of
+    :func:`~entropydiff.weierstrass.weierstrass_forms`.
 
     Returns a callable mapping sample points (last axis) to a (3, ...)
     complex array; removable combinations like h/G are jet-cancelled, so
@@ -64,15 +65,7 @@ def weierstrass_integrand(data: WeierstrassData):
         jG = eval_jet(data.G, zz, 1)
         jh = eval_jet(data.h, zz, 1)
         with np.errstate(all="ignore"):
-            h_over_G = jet_div(jh, jG).value
-            hG = jet_mul(jh, jG).value
-            return np.stack(
-                [
-                    0.5 * (h_over_G - hG),
-                    0.5j * (h_over_G + hG),
-                    jh.value,
-                ]
-            )
+            return weierstrass_forms(jet_div(jh, jG).value, jet_mul(jh, jG).value, jh.value)
 
     return f
 
@@ -84,17 +77,19 @@ class ImmersionPoint:
 
 
 def _integrate_polyline(f, path, tol: float):
-    total = np.zeros(3, dtype=np.complex128)
-    for a, b in zip(path[:-1], path[1:]):
-        a, b = complex(a), complex(b)
-        probe = f(np.linspace(0.0, 1.0, 33) * (b - a) + a)
-        if not np.all(np.isfinite(probe)):
-            raise PoleOnPath(f"Weierstrass integrand singular on segment {a} -> {b}")
-        res = integrate_segment(f, a, b, tol=tol)
-        if not np.all(np.isfinite(res.value)):
-            raise PoleOnPath(f"Weierstrass integrand singular on segment {a} -> {b}")
-        total = total + res.value
-    return total
+    """The integral of f along ``path``: one 33-point probe of every segment, then one
+    lockstep quadrature of them all, each to ``tol``; a non-finite one raises PoleOnPath."""
+    za, zb = (np.array(ends, dtype=np.complex128) for ends in (path[:-1], path[1:]))
+    if not za.size:
+        return np.zeros(3, dtype=np.complex128)
+    ok = np.isfinite(f(za[:, None] + (zb - za)[:, None] * np.linspace(0.0, 1.0, 33))).all(axis=(0, 2))
+    if ok.all():
+        values = _edge_integrals(f, za, zb, tol)
+        ok = np.isfinite(values).all(axis=0)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise PoleOnPath(f"Weierstrass integrand singular on segment {za[k]} -> {zb[k]}")
+    return values.sum(axis=1)
 
 
 def immersion_point(
@@ -203,13 +198,13 @@ def _edge_integrals(f, za, zb, tol: float) -> np.ndarray:
 
 def _edges(f, za, zb, ja, jb, tol: float) -> np.ndarray:
     """Integrals (3, n) of f along the edges za[k] -> zb[k] from the Taylor
-    coefficients ja, jb (order, component, edge) of f at their ends: I5
+    coefficients ja, jb (component, order, edge) of f at their ends: I5
     where max |I5 - I3| (see the module docstring) is at most ``tol``, and
     one lockstep adaptive call for the rest, non-finite jets included."""
     d = zb - za
-    slope = d * (ja[1] - jb[1])
-    step = d * (slope + d * d * (ja[2] + jb[2])) / 60.0  # f'' = 2 coeffs[2]
-    out = d * (0.5 * (ja[0] + jb[0]) + slope / 12.0) + step
+    slope = d * (ja[:, 1] - jb[:, 1])
+    step = d * (slope + d * d * (ja[:, 2] + jb[:, 2])) / 60.0  # f'' = 2 coeffs[2]
+    out = d * (0.5 * (ja[:, 0] + jb[:, 0]) + slope / 12.0) + step
     fail = ~(np.abs(step).max(axis=0) <= tol)
     if fail.any():
         out[:, fail] = _edge_integrals(f, za[fail], zb[fail], tol)
@@ -249,8 +244,8 @@ def sample_mesh(
     r, p, h = (j.coeffs for j in fields.form_jets)
 
     def row_jets(j):
-        """Taylor coefficients (order, component, node) of the integrand on row j."""
-        return np.stack([0.5 * (r[:, j] - p[:, j]), 0.5j * (r[:, j] + p[:, j]), h[:, j]], axis=1)
+        """Taylor coefficients (component, order, node) of the integrand on row j."""
+        return weierstrass_forms(r[:, j], p[:, j], h[:, j])
 
     f = weierstrass_integrand(data)
     positions = np.empty((ny, nx, 3), dtype=np.float64)
@@ -282,20 +277,19 @@ def sample_mesh(
 def spinor_mesh(grid: UniformGrid, fields: dict, rho: AnalyticExpr) -> SurfaceMesh:
     """The mesh of a surface rebuilt from a Hill pair (w1, w2) for ``rho``:
     ``fields`` as ``hill.solve_on_grid(..., with_positions=True)`` returns
-    them on ``grid``.  lambda = |w1|^2 + |w2|^2, K = -1/lambda^4, G = w2/w1
-    and |T| = |rho|/(sqrt(2) lambda^2), by the rule of
-    :func:`~entropydiff.hill.spinor_metric`: a metric factor that is not a
-    positive finite float raises DegeneratePoint."""
+    them on ``grid``.  K and the metric are those of
+    :func:`~entropydiff.hill.spinor_metric`, which also refuses a metric
+    factor that is not a positive finite float (DegeneratePoint) and flags
+    the Gauss-map poles of G = w2/w1; |T| and |T-hat| are
+    :func:`~entropydiff.weierstrass.norms_from` with q = 1."""
     w1, w2 = fields["w1"], fields["w2"]
-    norm_sq, pole = spinor_metric(w1, w2, grid.zs)
-    lam2 = norm_sq**2
+    metric, pole = spinor_metric(w1, w2, grid.zs)
+    rho_values = eval_jet(rho, grid.zs, 0).value
+    T, That = norms_from(metric["lambda_sq"], rho_values, rho_values)  # q = 1, so q^2 rho = rho
     with np.errstate(all="ignore"):
-        K = -1.0 / lam2**2
         G = np.where(pole, np.inf, w2 / np.where(pole, 1.0, w1))
-        T = np.abs(eval_jet(rho, grid.zs, 0).value) / (np.sqrt(2.0) * lam2)
-        That = np.abs(K) * T
     positions = np.stack([fields["x1"], fields["x2"], fields["x3"]], axis=-1)
-    return SurfaceMesh(grid, grid.zs, positions, inverse_stereographic(G), K, T, That, grid_faces(*grid.shape))
+    return SurfaceMesh(grid, grid.zs, positions, inverse_stereographic(G), metric["K"], T, That, grid_faces(*grid.shape))
 
 
 def write_obj(mesh: SurfaceMesh, path: str):

@@ -381,8 +381,9 @@ def entropy_functional_ecritical(data: WeierstrassData, domain: RectDomain, tol:
 
 @dataclass
 class PoleFit:
-    """Laurent coefficients of the entropy differential P = (rho/2) dz^2
-    near a suspected singularity, from discrete contour integrals."""
+    """Laurent coefficients of P = (rho/2) dz^2 near a suspected singularity from
+    contour integrals on the smallest of the ``radii``; ``consistency`` is the
+    largest distance of another circle's estimates from them."""
 
     c_minus2: complex
     c_minus1: complex
@@ -393,7 +394,8 @@ class PoleFit:
 _PROBE_POINTS = 256
 
 
-def _laurent_on_circle(data: WeierstrassData, center: complex, r: float, k: int) -> complex:
+def _laurent_on_circle(data: WeierstrassData, center: complex, r: float):
+    """(c_-2, c_-1) of P from one entropy_field pass on the radius-r circle."""
     theta = 2.0 * np.pi * np.arange(_PROBE_POINTS) / _PROBE_POINTS
     pts = center + r * np.exp(1j * theta)
     vals = 0.5 * entropy_field(data, pts)  # P-coefficient rho/2
@@ -402,35 +404,18 @@ def _laurent_on_circle(data: WeierstrassData, center: complex, r: float, k: int)
         # non-finite samples, or a value wildly out of scale with the rest:
         # the circle passes on top of (or numerically through) a singularity
         raise PoleOnCircle(f"entropy coefficient singular on the radius-{r} circle")
-    return complex(np.mean(vals * np.exp(-1j * k * theta)) / r**k)
-
-
-def _richardson(estimates, radii):
-    """Fold radius-indexed estimates, cancelling the leading alias term
-    (r/R)^N; with N = 256 the extrapolation is effectively the smallest-
-    radius value, and the fold reports internal consistency."""
-    order = np.argsort(radii)
-    vals = [estimates[i] for i in order]
-    rs = [radii[i] for i in order]
-    while len(vals) > 1:
-        nxt_v, nxt_r = [], []
-        for a, b, ra, rb in zip(vals[:-1], vals[1:], rs[:-1], rs[1:]):
-            ratio = (ra / rb) ** _PROBE_POINTS if rb > ra else 0.0
-            nxt_v.append((a - b * ratio) / (1.0 - ratio))
-            nxt_r.append(ra)
-        vals, rs = nxt_v, nxt_r
-    return vals[0]
+    return tuple(complex(np.mean(vals * np.exp(-1j * k * theta)) / r**k) for k in (-2, -1))
 
 
 def pole_probe(data: WeierstrassData, center: complex, radii=(0.1, 0.2, 0.4)) -> PoleFit:
-    """Fit c_-2 and c_-1 of P near ``center`` from trapezoid contour
-    integrals on the given circles, Richardson-extrapolated over radii."""
+    """Fit c_-2 and c_-1 of P near ``center`` by trapezoid contour integrals
+    on the given circles, one entropy_field pass each.  The fit is the
+    smallest circle's: the rule's aliasing error falls like (r/R)^256, R the
+    distance to the next singularity."""
     radii = tuple(float(r) for r in radii)
-    est2 = [_laurent_on_circle(data, center, r, -2) for r in radii]
-    est1 = [_laurent_on_circle(data, center, r, -1) for r in radii]
-    c2 = _richardson(est2, radii)
-    c1 = _richardson(est1, radii)
-    consistency = max(max(abs(e - c2) for e in est2), max(abs(e - c1) for e in est1))
+    est = [_laurent_on_circle(data, center, r) for r in radii]
+    c2, c1 = est[int(np.argmin(radii))]
+    consistency = max(max(abs(e2 - c2), abs(e1 - c1)) for e2, e1 in est)
     return PoleFit(c2, c1, float(consistency), radii)
 
 

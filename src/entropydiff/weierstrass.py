@@ -55,13 +55,14 @@ __all__ = [
     "schwarzian",
     "norm_fields",
     "entropy_form_norms",
+    "weierstrass_forms", "metric_from", "norms_from", "taylor_schwarzian",
 ]
 
 # |T|_g = _T_NORM_FACTOR * |rho| / lambda^2, derived by contracting
 # T = Re((rho/2) dz^2) in the metric lambda^2(dx^2+dy^2) and validated
 # against the catenoid values sqrt(2)/(2 cosh^2 x).  The constant lives
-# only here (and is cross-checked against componentwise contraction in
-# the tests).
+# only in :func:`norms_from`, which every reader of the norms calls (and the
+# tests cross-check it against componentwise contraction).
 _T_NORM_FACTOR = 1.0 / math.sqrt(2.0)
 
 # Relative threshold for "the Hopf coefficient vanishes" (umbilic point).
@@ -143,6 +144,48 @@ def rho_from_derivatives(G, G1, G2, G3, h, h1, h2):
     with np.errstate(all="ignore"):
         first, *rest = _rho_terms(G, G1, G2, G3, h, h1, h2)
         return sum(rest, first)
+
+
+def taylor_schwarzian(c):
+    """The Schwarzian {f, z} = 6 c3/c1 - 6 (c2/c1)^2 from the Taylor
+    coefficients c (order >= 3 on the leading axis) of f."""
+    with np.errstate(all="ignore"):
+        return 6.0 * c[3] / c[1] - 6.0 * (c[2] / c[1]) ** 2
+
+
+def weierstrass_forms(h_over_G, hG, h):
+    """The coefficients ((h/G - hG)/2, i (h/G + hG)/2, h) of the three
+    Weierstrass 1-forms, stacked on a new leading axis.  From a spinor pair
+    they take h/G = -2 w1^2, hG = -2 w2^2 and h = -2 w1 w2."""
+    return np.stack([0.5 * (h_over_G - hG), 0.5j * (h_over_G + hG), h])
+
+
+def metric_from(h_over_G, hG, q) -> dict:
+    """lambda^2, K, u, |A|^2 in the pole-stable grouping s = |h/G| + |hG|.
+
+        lambda^2 = s^2/4,   K = -16 |q|^2 / s^4,
+        u = log(s/2) - log|q|/2.
+
+    These are algebraically identical to the displayed formulas
+    lambda^2 = (|h|^2/4)(|G|+|G|^-1)^2 and K = -16|GG'|^2/(|h|^2(1+|G|^2)^4)
+    (with the |h|^2 denominator; see the curvature design decision) but
+    stay finite across Gauss-map poles, where G blows up and h vanishes.
+    A spinor pair gives h/G = -2 w1^2, hG = -2 w2^2 and q = 2W = 1.
+    """
+    with np.errstate(all="ignore"):
+        s = np.abs(h_over_G) + np.abs(hG)
+        lambda_sq = 0.25 * s**2
+        K = -16.0 * np.abs(q) ** 2 / s**4
+        u = np.log(0.5 * s) - 0.5 * np.log(np.abs(q))
+    return {"lambda_sq": lambda_sq, "K": K, "u": u, "A_norm_sq": -2.0 * K}
+
+
+def norms_from(lambda_sq, rho, q2_rho):
+    """(|T|_g, |T-hat|_g) = (|rho|/lambda^2, |q^2 rho|/lambda^6)/sqrt(2);
+    |T-hat| = |K| |T| takes the product q^2 rho, which is holomorphic
+    across umbilics, where |T| itself is infinite."""
+    with np.errstate(all="ignore"):
+        return _T_NORM_FACTOR * np.abs(rho) / lambda_sq, _T_NORM_FACTOR * np.abs(q2_rho) / lambda_sq**3
 
 
 def _rho_terms(G, G1, G2, G3, h, h1, h2):
@@ -284,27 +327,8 @@ class SurfaceFields:
 
     @cached_property
     def metric(self) -> dict:
-        """lambda^2, K, u, |A|^2 in the pole-stable grouping s = |h/G| + |hG|.
-
-            lambda^2 = s^2/4,   K = -16 |q|^2 / s^4,
-            u = -log 2 - log|q|/2 + log s.
-
-        These are algebraically identical to the displayed formulas
-        lambda^2 = (|h|^2/4)(|G|+|G|^-1)^2 and K = -16|GG'|^2/(|h|^2(1+|G|^2)^4)
-        (with the |h|^2 denominator; see the curvature design decision) but
-        stay finite across Gauss-map poles, where G blows up and h vanishes.
-        """
-        with np.errstate(all="ignore"):
-            s = np.abs(self.h_over_G) + np.abs(self.hG)
-            lambda_sq = 0.25 * s**2
-            K = -16.0 * np.abs(self.q) ** 2 / s**4
-            u = -np.log(2.0) - 0.5 * np.log(np.abs(self.q)) + np.log(s)
-        return {
-            "lambda_sq": np.real(lambda_sq),
-            "K": np.real(K),
-            "u": np.real(u),
-            "A_norm_sq": np.real(-2.0 * K),
-        }
+        """lambda^2, K, u, |A|^2 by :func:`metric_from`."""
+        return metric_from(self.h_over_G, self.hG, self.q)
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -314,15 +338,13 @@ class SurfaceFields:
 
     @cached_property
     def norms(self):
-        """(|T|_g, |T-hat|_g); |T-hat| = |K| |T| through q^2 rho, which is
-        holomorphic across umbilics, where |T| itself is infinite."""
-        lam2 = self.metric["lambda_sq"]
+        """(|T|_g, |T-hat|_g) by :func:`norms_from`, with the circle mean of
+        q^2 rho where it is not finite; |T| is infinite there."""
         with np.errstate(all="ignore"):
-            T = _T_NORM_FACTOR * np.abs(self.rho) / lam2
             s = self.q**2 * self.rho
-            bad = ~np.isfinite(s)
-            That = _T_NORM_FACTOR * np.abs(self._recover(4, s, bad)) / lam2**3
-        return np.real(np.where(bad, np.inf, T)), np.real(That)
+        bad = ~np.isfinite(s)
+        T, That = norms_from(self.metric["lambda_sq"], self.rho, self._recover(4, s, bad))
+        return np.where(bad, np.inf, T), That
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +386,21 @@ def _hopf_at(f: SurfaceFields) -> complex:
     return q
 
 
+def _metric_at(f: SurfaceFields) -> dict:
+    """The metric at the one point of ``f``, as floats; the samples' one rule: a
+    conformal factor lambda^2 that is not a finite float >= 1e-280 raises DegeneratePoint."""
+    mf = {k: float(v[0]) for k, v in f.metric.items()}
+    if not 1e-280 <= mf["lambda_sq"] < np.inf:
+        raise DegeneratePoint(f"conformal factor degenerates at {f.z[0]}")
+    return mf
+
+
 def metric_sample(data: WeierstrassData, z: complex) -> MetricSample:
     """Metric, curvature, u and |A|^2 at a single point."""
-    mf = _at_point(data, z).metric
-    lam2, K, u = (float(mf[k][0]) for k in ("lambda_sq", "K", "u"))
-    if not np.isfinite(lam2) or lam2 <= 0.0 or lam2 < 1e-280:
-        raise DegeneratePoint(f"conformal factor degenerates at {z}")
-    if not np.isfinite(K):
+    mf = _metric_at(_at_point(data, z))
+    if not np.isfinite(mf["K"]):
         raise PoleAtPoint(f"curvature undefined at {z}")
-    return MetricSample(z=complex(z), lambda_sq=lam2, K=K, u=u, A_norm_sq=-2.0 * K)
+    return MetricSample(z=complex(z), **mf)
 
 
 def hopf_coefficient(data: WeierstrassData, z: complex) -> complex:
@@ -400,26 +428,22 @@ def entropy_form_norms(data: WeierstrassData, z: complex):
     """(|T|_g, |T-hat|_g) at one point; |T| is inf at umbilics where the
     continuous extension applies only to |T-hat|."""
     f = _at_point(data, z)
-    lam2 = f.metric["lambda_sq"][0]
-    if not np.isfinite(lam2) or lam2 <= 0:
-        raise DegeneratePoint(f"metric degenerates at {z}")
+    _metric_at(f)
     T, That = f.norms
     return float(T[0]), float(That[0])
 
 
 def schwarzian(G: AnalyticExpr, z) -> complex:
-    """Schwarzian derivative {G, z} = (G''/G')' - (G''/G')^2/2.
+    """Schwarzian derivative {G, z} = (G''/G')' - (G''/G')^2/2 by :func:`taylor_schwarzian`.
 
     Equals the entropy coefficient divided by 2 whenever the Hopf
-    coefficient is constant.  Vectorizes over ``z``.
+    coefficient is constant.  Vectorizes over ``z``; each point is judged
+    by its own jet c: where |c1| <= 1e-14 max(1, max_k |c_k|), G' vanishes
+    and so the Schwarzian has a pole, NaN in an array, CriticalPoint for a scalar.
     """
-    zz = np.asarray(z, dtype=np.complex128)
-    jG = eval_jet(G, zz, 3)
-    G1, G2, G3 = jG.coeffs[1], 2.0 * jG.coeffs[2], 6.0 * jG.coeffs[3]
-    scale = np.max(np.abs(jG.coeffs))
-    if np.any(np.abs(G1) <= 1e-14 * max(float(scale), 1.0)):
-        raise CriticalPoint("G' vanishes: Schwarzian has a pole")
-    with np.errstate(all="ignore"):
-        ratio = G2 / G1
-        out = G3 / G1 - 1.5 * ratio**2
-    return complex(out) if np.isscalar(z) or isinstance(z, complex) else out
+    c = eval_jet(G, z, 3).coeffs
+    critical = np.abs(c[1]) <= 1e-14 * np.maximum(np.abs(c).max(axis=0), 1.0)
+    if np.ndim(z) == 0 and critical:
+        raise CriticalPoint(f"G' vanishes at {z}: the Schwarzian has a pole")
+    out = np.where(critical, np.nan, taylor_schwarzian(c))
+    return complex(out) if np.ndim(z) == 0 else out

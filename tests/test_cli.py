@@ -130,6 +130,13 @@ def test_verify_floor_leaves_every_other_node_a_stencil(tmp_path):
     assert doc["reports"][1]["params"]["nx"] == 9
 
 
+def test_verify_reports_the_spacing_it_ran_at(tmp_path):
+    # --delta 1 asks for 3x3 nodes; the floor of 9x9 runs at 0.25, which is the spacing reported
+    code, doc = _run(tmp_path, "verify", "--surface", "catenoid", "--delta", "1", "--checks", "ricci")
+    assert code == 0
+    assert doc["params"]["delta"] == doc["reports"][0]["params"]["delta"] == 0.25
+
+
 def test_periodic_y_is_not_an_option():
     with pytest.raises(SystemExit) as exc:
         main(["norm", "--G", "-exp(z)", "--h", "1", "--domain=-1,1,0,6.28", "--periodic-y", "6.28"])

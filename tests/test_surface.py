@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entropydiff.errors import DegeneratePoint, PoleOnPath
-from entropydiff.geomnum import RectDomain
+from entropydiff.geomnum import RectDomain, integrate_segment
 from entropydiff.hill import HillSystem, canonical_state_mu_nu, solve_on_grid
 from entropydiff import surface
 from entropydiff.jets import Z, const, eval_jet
@@ -17,6 +17,7 @@ from entropydiff.surface import (
     inverse_stereographic,
     period_vector,
     sample_mesh,
+    weierstrass_integrand,
     write_obj,
     write_sidecar,
 )
@@ -33,6 +34,19 @@ def test_helicoid_immersion_point():
     hel = helicoid()
     x = immersion_point(hel.data, 0.0, 1j * np.pi / 2).x
     np.testing.assert_allclose(x, [0.0, 0.0, np.pi / 2], atol=1e-10)
+
+
+def test_polyline_takes_one_lockstep_quadrature(monkeypatch):
+    data = catenoid().data
+    edges = _record_fallback(monkeypatch)
+    path = [0.0, 0.5, 0.5 + 1j, 1.0 + 0.5j]
+    x = immersion_point(data, path[0], path[-1], path=path).x
+    assert len(edges) == 3 and surface._edge_integrals.calls == 1
+    parts = [immersion_point(data, a, b).x for a, b in zip(path[:-1], path[1:])]
+    np.testing.assert_allclose(x, np.sum(parts, axis=0), rtol=0, atol=1e-12)
+    # one segment is the adaptive segment integral of the same integrand, bit for bit
+    ref = np.real(integrate_segment(weierstrass_integrand(data), 0.2, 1.1 + 0.7j, tol=SEGMENT_TOL).value)
+    assert np.array_equal(immersion_point(data, 0.2, 1.1 + 0.7j).x, ref)
 
 
 def test_immersion_at_start_is_zero():
@@ -205,9 +219,11 @@ def _record_fallback(monkeypatch):
     adaptive = surface._edge_integrals
 
     def record(f, za, zb, tol):
+        record.calls += 1
         edges.extend(zip(za.tolist(), zb.tolist()))
         return adaptive(f, za, zb, tol)
 
+    record.calls = 0
     monkeypatch.setattr(surface, "_edge_integrals", record)
     return edges
 

@@ -199,6 +199,28 @@ def test_pole_probe_radius_independence():
     assert abs(a.c_minus2 - b.c_minus2) < 1e-6
 
 
+def test_pole_probe_takes_one_field_pass_per_circle(monkeypatch):
+    from entropydiff import verify
+
+    data = WeierstrassData(1 + Z**3, const(1.0), RectDomain.square(2.0))
+    original, calls = verify.entropy_field, []
+
+    def counted(d, z):
+        calls.append(z)
+        return original(d, z)
+
+    monkeypatch.setattr(verify, "entropy_field", counted)
+    fit = pole_probe(data, 0.0, radii=(0.3, 0.1, 0.2))
+    assert len(calls) == 3
+    # the fit is the contour mean on the smallest circle, with no extrapolation
+    r = 0.1
+    theta = 2.0 * np.pi * np.arange(256) / 256
+    vals = 0.5 * original(data, r * np.exp(1j * theta))
+    c2, c1 = (complex(np.mean(vals * np.exp(-1j * k * theta)) / r**k) for k in (-2, -1))
+    assert (fit.c_minus2, fit.c_minus1) == (c2, c1)
+    assert abs(c2 + 2.5) < 1e-10
+
+
 def test_weighted_entropy_norm_catenoid():
     v = weighted_entropy_norm(catenoid().data, RectDomain(-20, 20, 0, 2 * np.pi), tol=1e-6)
     expected = 2 * np.sqrt(2) * np.pi**4

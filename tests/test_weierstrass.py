@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from entropydiff.errors import PoleAtPoint, UmbilicPoint
+from entropydiff.errors import CriticalPoint, DegeneratePoint, PoleAtPoint, UmbilicPoint
 from entropydiff.geomnum import RectDomain
 from entropydiff.jets import Z, const, exp, parse_expression
 from entropydiff.models import deformed_catenoid
@@ -126,6 +126,19 @@ def test_schwarzian_values_and_moebius_invariance():
     assert abs(schwarzian(moebius_of_exp, 0.4 - 0.2j) + 0.5) < 1e-12
 
 
+def test_schwarzian_judges_each_point_by_its_own_jet():
+    # {z^3, z} = -4/z^2: a far point no longer makes a near one critical
+    near = schwarzian(Z**3, 1e-5)
+    assert abs(near + 4e10) < 1e-4
+    out = schwarzian(Z**3, [1e-5, 1e4])
+    assert out[0] == near and abs(out[1] + 4e-8) < 1e-20
+    # a critical point (G' = 0) is NaN in an array and raises for a scalar
+    out = schwarzian(Z**3, [0.0, 1.0])
+    assert np.isnan(out[0]) and abs(out[1] + 4.0) < 1e-14
+    with pytest.raises(CriticalPoint):
+        schwarzian(Z**3, 0.0)
+
+
 def test_schwarzian_consistency_with_entropy_coefficient():
     # For constant Hopf coefficient, rho = 2 {G, z}; holds across the whole
     # deformed catenoid/helicoid families (Moebius invariance of {G, z}).
@@ -147,6 +160,15 @@ def test_entropy_form_norms_catenoid():
     T1, That1 = entropy_form_norms(cat, 1.0)
     assert abs(T1 - np.sqrt(2) / (2 * np.cosh(1.0) ** 2)) < 1e-13
     assert abs(That1 - np.sqrt(2) / (2 * np.cosh(1.0) ** 6)) < 1e-13
+
+
+def test_both_samples_refuse_a_degenerate_metric():
+    # lambda^2 = 1e-300 at z = 1: the norms sample refuses it as the metric sample does
+    data = WeierstrassData(Z, const(1e-150), RectDomain.square(2.0))
+    with pytest.raises(DegeneratePoint):
+        metric_sample(data, 1.0)
+    with pytest.raises(DegeneratePoint):
+        entropy_form_norms(data, 1.0)
 
 
 def test_entropy_form_norms_enneper_vanish():
