@@ -307,7 +307,7 @@ def cmd_reconstruct(args) -> dict:
         if args.sidecar:
             write_sidecar(mesh, args.sidecar)
             doc["sidecar"] = args.sidecar
-        doc["mesh_wronskian_drift"] = fields["wronskian_drift"]
+        doc.update({f"mesh_{k}": fields[k] for k in ("wronskian_drift", "steps", "rejected")})
     return doc
 
 

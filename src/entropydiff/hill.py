@@ -10,8 +10,10 @@ Integration runs on the jet engine: one jet of rho at a point gives the
 Taylor coefficients of w by c_{k+2} = -(rho w)_k / (4 (k+1)(k+2)), and a
 step sums that series to order 10, accepting it when its last two terms
 are within tolerance and splitting it otherwise (Corliss & Chang, ACM TOMS
-8, 1982; Jorba & Zou, Exp. Math. 14, 2005).  Paths take adaptive steps;
-grids march with one step per cell and all rows in lockstep.
+8, 1982; Jorba & Zou, Exp. Math. 14, 2005).  Paths and grids take the
+same adaptive steps.  On a grid all rows march in lockstep, a step spans as
+many cells as the tail test allows, and the nodes inside it are read from
+its series (dense output; Hairer, Norsett & Wanner, Solving ODEs I, II.6).
 
 The minimal surface behind a system is recovered through the spinor
 representation: G = w2/w1, h = -2 w1 w2, metric (|w1|^2+|w2|^2)^2.  Data
@@ -169,7 +171,14 @@ def _position_increments(c: np.ndarray, h: complex) -> np.ndarray:
     return weierstrass_forms(-2.0 * s11, -2.0 * s22, -2.0 * s12)
 
 
-def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, observer=None) -> np.ndarray:
+def _weights(t) -> np.ndarray:
+    """Weights of the Taylor coefficients c_0 .. c_N in w and in w' at the
+    offsets ``t``: shape (2,) + shape(t) + (N + 1,)."""
+    tk = np.asarray(t)[..., None] ** _POWERS
+    return np.stack([tk, _POWERS * np.concatenate([np.zeros_like(tk[..., :1]), tk[..., :-1]], axis=-1)])
+
+
+def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, observer=None, nodes=(), out=None):
     """Carry states from the points ``z0`` to ``z0 + dz`` by Taylor steps.
 
     ``y`` has one column per point and the rows (w1, w2, w1', w2'),
@@ -181,13 +190,21 @@ def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, observer=None) -
     DEFAULT_RTOL max(|old value|, |new value|), and split otherwise (w alone
     would leave w' off by ~N times that tail near a singularity of rho).
     ``observer(z, y)`` fires at every accepted step.
+
+    Dense output: ``nodes`` are sorted offsets from ``z0`` in [0, dz], and
+    each accepted step sums its series (and their integrals, for positions)
+    at the nodes that fall inside it, writing the states at ``z0 + nodes[k]``
+    to ``out[:, k]``.  Returns the states at ``z0 + dz`` and the numbers of
+    accepted and rejected steps.
     """
     z0 = np.asarray(z0, dtype=np.complex128)
     y = np.array(y, dtype=np.complex128)
     if dz == 0:
-        return y
-    s, frac = 0.0, 1.0
-    for _ in range(_MAX_STEPS_PER_SEGMENT):
+        return y, 0, 0
+    nodes = np.asarray(nodes, dtype=np.complex128)
+    at = (nodes / dz).real  # the nodes as fractions of dz
+    s, frac, k, steps = 0.0, 1.0, 0, 0
+    for attempt in range(_MAX_STEPS_PER_SEGMENT):
         last = frac >= 1.0 - s
         frac = min(frac, 1.0 - s)
         if frac < 1e-14:
@@ -198,22 +215,30 @@ def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, observer=None) -
             raise PoleOnPath(f"rho is not finite at z = {z[~np.isfinite(r).all(axis=0)][0]}")
         h = frac * dz
         c = _hill_series(r, y[:2], y[2:4], _ORDER)
-        hk = h**_POWERS
-        weights = np.stack([hk, _POWERS * np.concatenate([[0.0], hk[:-1]])])  # of c_k in w and in w'
+        weights = _weights(h)  # of c_k in w and in w'
         # an overflow gives inf silently; the readers of the pair refuse it (spinor_metric)
         with np.errstate(all="ignore"):
             new = np.tensordot(weights, c, axes=1).reshape(4, -1)
             tail = np.abs(weights[:, -2:, None, None] * c[-2:]).sum(axis=1).reshape(4, -1)
             err = float(np.max(tail / (DEFAULT_ATOL + DEFAULT_RTOL * np.maximum(np.abs(y[:4]), np.abs(new)))))
-            if err <= 1.0 and len(y) > 4:
-                new = np.concatenate([new, y[4:] + _position_increments(c, h)])
+            if err <= 1.0:
+                end = len(at) if last else int(np.searchsorted(at, s + frac))  # the nodes before the step's end
+                if end > k:
+                    t = nodes[k:end] - s * dz
+                    out[:4, k:end] = np.moveaxis(np.tensordot(_weights(t), c, axes=1), 1, 2).reshape(4, len(t), -1)
+                    if len(y) > 4:
+                        out[4:, k:end] = y[4:, None] + np.stack([_position_increments(c, ti) for ti in t], axis=1)
+                    k = end
+                if len(y) > 4:
+                    new = np.concatenate([new, y[4:] + _position_increments(c, h)])
         if err <= 1.0:
             y = new
+            steps += 1
             s = 1.0 if last else s + frac
             if observer is not None:
                 observer(z0 + s * dz, y)
             if last:
-                return y
+                return y, steps, attempt + 1 - steps
         # Jorba & Zou: the tail of w' scales like h^(N-2); overflow (NaN) splits most
         ratio = 0.9 * max(err, 1e-30) ** (-1.0 / (_ORDER - 2)) if err <= 1e300 else 0.0
         frac *= min(5.0, ratio) if err <= 1.0 else min(0.5, max(0.1, ratio))
@@ -250,6 +275,8 @@ class PathSolution:
 def integrate_hill(sys: HillSystem, path) -> PathSolution:
     """Integrate the fundamental pair along a polyline starting at the base.
 
+    One jet call probes every segment at 33 points first; a pole of rho
+    there raises PoleOnPath naming the first such segment.
     Every accepted Taylor step is recorded as a sample.  The Wronskian (a
     first integral) is monitored there; the maximum deviation from 1/2 is
     reported as ``wronskian_drift``.
@@ -264,13 +291,16 @@ def integrate_hill(sys: HillSystem, path) -> PathSolution:
         sol.wronskian_drift = max(sol.wronskian_drift, abs(_wronskian(w1, w2, w1p, w2p) - 0.5))
         sol.samples.append((complex(z[0]), w1, w2, w1p, w2p))
 
+    za, zb = (np.array(ends, dtype=np.complex128) for ends in (path[:-1], path[1:]))
+    probe = za[:, None] + (zb - za)[:, None] * np.linspace(0.0, 1.0, 33)
+    ok = np.isfinite(eval_jet(sys.rho, probe, 0).value).all(axis=1)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise PoleOnPath(f"rho has a pole on the segment {path[k]} -> {path[k + 1]}")
     y = sys.state_at_base.reshape(4, 1)
     observe([sys.base], y)
     for a, b in zip(path[:-1], path[1:]):
-        probe = eval_jet(sys.rho, np.linspace(0.0, 1.0, 33) * (b - a) + a, 0).value
-        if not np.all(np.isfinite(probe)):
-            raise PoleOnPath(f"rho has a pole on the segment {a} -> {b}")
-        y = _advance(sys.rho, [a], b - a, y, observe)
+        y = _advance(sys.rho, [a], b - a, y, observe)[0]
     return sol
 
 
@@ -402,32 +432,34 @@ def reconstructed_rho(states, rho: AnalyticExpr, z) -> np.ndarray:
 
 def solve_on_grid(sys: HillSystem, grid: UniformGrid, with_positions: bool = False):
     """Fundamental pair (and optional Weierstrass position integrals) on a
-    full grid by Taylor steps: to the grid corner, up the left edge, then
-    along x with all rows in lockstep (one jet of rho per column and step).
+    full grid by three runs of Taylor steps: to the grid corner, up the left
+    column, then along x with all rows in lockstep (one jet of rho per row
+    and step).  Steps are as long as the tail test allows, spanning many
+    cells; the nodes inside a step come from its series (dense output).
 
     Returns a dict of (ny, nx) complex arrays: w1, w2, w1p, w2p and, with
     positions, x1, x2, x3 (real parts of the spinor Weierstrass integrals,
-    anchored at the grid corner), plus the max Wronskian drift observed.
+    anchored at the grid corner), plus the max Wronskian drift over the
+    grid and the numbers of accepted and rejected steps.
     """
-    ny, nx = grid.ny, grid.nx
-    x0 = grid.xs[0]
+    xs, ys = grid.xs, grid.ys
+    corner = xs[0] + 1j * ys[0]
     # rows (w1, w2, w1', w2'[, I1, I2, I3]); the integrals start at 0 at the corner
-    y = np.zeros((7 if with_positions else 4, 1), dtype=np.complex128)
-    y[:4] = _advance(sys.rho, [sys.base], x0 + 1j * grid.ys[0] - sys.base, sys.state_at_base.reshape(4, 1))
-    fields = np.empty((len(y), ny, nx), dtype=np.complex128)
-    fields[:, 0, 0] = y[:, 0]
-    for j in range(1, ny):
-        y = _advance(sys.rho, [x0 + 1j * grid.ys[j - 1]], 1j * (grid.ys[j] - grid.ys[j - 1]), y)
-        fields[:, j, 0] = y[:, 0]
-    y = fields[:, :, 0]
-    drift = 0.0
-    for i in range(1, nx):
-        y = _advance(sys.rho, grid.xs[i - 1] + 1j * grid.ys, grid.xs[i] - grid.xs[i - 1], y)
-        fields[:, :, i] = y
-        with np.errstate(all="ignore"):  # an overflowed pair, which its readers refuse
-            drift = max(drift, float(np.max(np.abs(_wronskian(*y[:4]) - 0.5))))
+    fields = np.zeros((7 if with_positions else 4, grid.ny, grid.nx), dtype=np.complex128)
+    y, steps, rejected = _advance(sys.rho, [sys.base], corner - sys.base, sys.state_at_base.reshape(4, 1))
+    fields[:4, 0, 0] = y[:, 0]
+    # up the left column, then all rows in lockstep along x; out[:, k] is the state at node k
+    column = _advance(sys.rho, [corner], 1j * (ys[-1] - ys[0]), fields[:, 0, :1], nodes=1j * (ys[1:] - ys[0]),
+                      out=fields[:, 1:, :1])
+    rows = _advance(sys.rho, xs[0] + 1j * ys, xs[-1] - xs[0], fields[:, :, 0], nodes=xs[1:] - xs[0],
+                    out=np.moveaxis(fields[:, :, 1:], 2, 1))
+    steps += column[1] + rows[1]
+    rejected += column[2] + rows[2]
+    with np.errstate(all="ignore"):  # an overflowed pair, which its readers refuse
+        drift = float(np.max(np.abs(_wronskian(*fields[:4]) - 0.5)))
 
-    out = {"w1": fields[0], "w2": fields[1], "w1p": fields[2], "w2p": fields[3], "wronskian_drift": drift}
+    out = {"w1": fields[0], "w2": fields[1], "w1p": fields[2], "w2p": fields[3], "wronskian_drift": drift,
+           "steps": steps, "rejected": rejected}
     if with_positions:
         out["x1"], out["x2"], out["x3"] = np.real(fields[4:])
     return out

@@ -513,7 +513,8 @@ def liouville_check(surface: str, grid: UniformGrid) -> Report:
     def residual(u):  # NaN on the boundary ring, which the coarse interior leaves out
         res = liouville_residual(u)
         stats = {"max_residual": res.max_residual, "mean_residual": res.mean_residual}
-        return res.field.values, {**stats, "wronskian_drift": f["wronskian_drift"]}
+        march = {k: f[k] for k in ("wronskian_drift", "steps", "rejected")}
+        return res.field.values, {**stats, **march}
 
     coarse = ScalarField(grid.every_other_node(), u.values[::2, ::2])
     return _stencil_report("liouville", {"rho": rho_text, "delta": max(grid.hx, grid.hy)}, residual, u, coarse)

@@ -97,6 +97,20 @@ def test_reconstruct_obj_output(tmp_path):
     text = obj.read_text()
     assert text.count("\nv ") + text.startswith("v ") == 144
     assert doc["mesh_wronskian_drift"] < 1e-10
+    assert doc["mesh_steps"] >= 1 and doc["mesh_rejected"] >= 0
+
+
+@pytest.mark.parametrize("rho", ["1/(z-0.5)", "1/(z-1)", "1/(z-0.5-1i)"], ids=["interior", "last-column", "top-row"])
+def test_a_pole_of_rho_on_a_mesh_node_is_a_pole_on_path(tmp_path, rho):
+    # off the sample path 0 -> 0.9(1 + i), on a node of the 9x9 grid
+    code, doc = _run(tmp_path, "reconstruct", "--rho", rho, "--grid", "9x9", "--obj", str(tmp_path / "m.obj"))
+    assert code == 2 and doc["error"]["code"] == "pole-on-path"
+
+
+def test_a_pole_of_rho_between_mesh_rows_integrates(tmp_path):
+    code, doc = _run(tmp_path, "reconstruct", "--rho", "1/(z-0.5-0.125i)", "--grid", "9x9", "--obj", str(tmp_path / "m.obj"))
+    assert code == 0 and doc["round_trip"]["pass"]
+    assert doc["mesh_wronskian_drift"] < 1e-10
 
 
 def test_verify_command(tmp_path):

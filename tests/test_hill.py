@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entropydiff import hill
 from entropydiff.errors import NotUnimodular, PoleOnPath
 from entropydiff.geomnum import RectDomain, ScalarField
 from entropydiff.hill import (
@@ -18,7 +19,7 @@ from entropydiff.hill import (
     reconstructed_rho,
     solve_on_grid,
 )
-from entropydiff.jets import Z, const
+from entropydiff.jets import Z, const, exp
 from entropydiff.weierstrass import rho_from_derivatives
 
 
@@ -127,6 +128,66 @@ def test_grid_nodes_match_path_integration_along_the_same_edges():
         for i, st in enumerate(sol.states_at(row)):
             got = np.array([[f["w1"][j, i], f["w2"][j, i]], [f["w1p"][j, i], f["w2p"][j, i]]])
             assert np.abs(got - st).max() <= 1e-12 * max(1.0, np.abs(st).max())
+
+
+def _count_jets(monkeypatch) -> list:
+    calls = []
+    real = hill.eval_jet
+    monkeypatch.setattr(hill, "eval_jet", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_grid_march_takes_a_few_long_steps(monkeypatch):
+    # the catenoid's pair on 401^2; one step per cell would take 800 steps
+    calls = _count_jets(monkeypatch)
+    grid = RectDomain.square(1.0).grid(401, 401)
+    f = solve_on_grid(HillSystem(const(-1.0), 0.0, canonical_state_phi_alpha(0.0, 1.0)), grid)
+    u = np.log(np.abs(f["w1"]) ** 2 + np.abs(f["w2"]) ** 2)
+    assert np.abs(u - np.log(np.cosh(np.real(grid.zs)))).max() <= 1e-10
+    assert f["wronskian_drift"] <= 1e-10
+    assert f["steps"] <= 40 and len(calls) <= 40
+    assert len(calls) == f["steps"] + f["rejected"]  # one jet of rho per attempted step
+
+
+def _march_per_cell(sys: HillSystem, points, y) -> list:
+    """States and positions at ``points``, one run of Taylor steps per segment."""
+    states = [np.asarray(y, dtype=np.complex128)]
+    for a, b in zip(points[:-1], points[1:]):
+        states.append(hill._advance(sys.rho, [a], b - a, states[-1])[0])
+    return states
+
+
+def test_dense_grid_nodes_match_per_cell_integration_with_positions():
+    grid = RectDomain(-1.0, 1.0, -0.5, 1.0).grid(129, 129)
+    sys = HillSystem(exp(Z), 0.3 + 0.2j, canonical_state_mu_nu(0.8, 0.1j, base=0.3 + 0.2j))
+    f = solve_on_grid(sys, grid, with_positions=True)
+    corner = grid.xs[0] + 1j * grid.ys[0]
+    start = np.zeros((7, 1), dtype=np.complex128)  # the positions start at 0 at the corner
+    start[:4] = integrate_hill(sys, [sys.base, corner]).end_state.reshape(4, 1)
+    for j in (0, 64, 128):
+        edge = [grid.xs[0] + 1j * y for y in grid.ys[: j + 1]]
+        row = [x + 1j * grid.ys[j] for x in grid.xs]
+        sol = integrate_hill(sys, [sys.base] + edge + row[1:])
+        marched = _march_per_cell(sys, edge + row[1:], start)[j:]
+        for i, (st, y) in enumerate(zip(sol.states_at(row), marched)):
+            got = np.array([f[k][j, i] for k in ("w1", "w2", "w1p", "w2p")])
+            assert np.all(np.abs(got - st.reshape(4)) <= 1e-12 * np.maximum(1.0, np.abs(st.reshape(4))))
+            got = np.array([f[k][j, i] for k in ("x1", "x2", "x3")])
+            assert np.all(np.abs(got - y[4:, 0].real) <= 1e-12 * np.maximum(1.0, np.abs(y[4:, 0].real)))
+
+
+@pytest.mark.parametrize("pole", [0.5, 1.0, 0.5 + 1.0j], ids=["interior", "last-column", "top-row"])
+def test_a_pole_of_rho_on_a_grid_node_is_a_pole_on_path(pole):
+    grid = RectDomain.square(1.0).grid(9, 9)
+    with pytest.raises(PoleOnPath):
+        solve_on_grid(HillSystem(const(1.0) / (Z - const(pole)), 0.0, canonical_state_mu_nu(1.0)), grid)
+
+
+def test_a_pole_of_rho_between_two_rows_integrates():
+    grid = RectDomain.square(1.0).grid(9, 9)  # rows at y = 0 and 0.25
+    f = solve_on_grid(HillSystem(const(1.0) / (Z - const(0.5 + 0.125j)), 0.0, canonical_state_mu_nu(1.0)), grid)
+    assert all(np.isfinite(f[k]).all() for k in ("w1", "w2", "w1p", "w2p"))
+    assert f["wronskian_drift"] <= 1e-10
 
 
 # --- SL(2,C) machinery -------------------------------------------------------

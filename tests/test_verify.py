@@ -72,6 +72,13 @@ def test_stencil_checks_pass_by_their_observed_order(name, delta):
             assert rep.passed and 1.8 <= rep.statistics["observed_order"] <= 2.2, rep.to_dict()
 
 
+def test_liouville_reports_the_steps_of_its_hill_march():
+    grid = RectDomain.square(1.0).grid(401, 401)
+    (rep,) = run_checks(["liouville"], CATALOG["catenoid"].data, grid, "catenoid")
+    assert rep.passed and rep.statistics["wronskian_drift"] <= 1e-10
+    assert 1 <= rep.statistics["steps"] <= 40 and rep.statistics["rejected"] >= 0
+
+
 def test_ricci_umbilic_guard():
     # G = 1+z^2 has an umbilic at 0.  The 3-delta guard keeps the double
     # pole of log|K| out of the statistics (finite numbers, no exception).
