@@ -41,7 +41,7 @@ from .weierstrass import SurfaceFields, WeierstrassData
 
 SCHEMA_VERSION = 1
 T_CLAMP = 1e-3
-MAX_GRID_NODES = 1 << 20  # 1024x1024; analyze at 512x512 peaks near 250 MB
+MAX_GRID_NODES = 1 << 20  # 1024x1024; analyze at 512x512 peaks near 190 MB
 MAX_SAMPLES = 10_000  # reconstruct --samples; about 2 s and 16 MB of JSON
 
 
@@ -51,22 +51,20 @@ MAX_SAMPLES = 10_000  # reconstruct --samples; about 2 s and 16 MB of JSON
 
 def dumps_json(obj, indent: int = 0) -> str:
     """JSON with 17-significant-digit floats and insertion-ordered keys; a
-    list over 100 characters prints one element per line, and a 1-D ndarray
-    is formatted by one ``%`` call, its non-finite elements as null."""
-    pad = " " * indent
+    list over 100 characters prints one element per line, and non-finite
+    elements of an ndarray print as null.  A dict is the join of
+    :func:`_pieces`; an ndarray with rows of 35 or more elements takes one
+    ``%`` call (:func:`_dumps_long_array`)."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {dumps_json(v, indent + 2)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        return "".join(_pieces(obj, indent))
+    pad = " " * indent
     if isinstance(obj, (list, tuple, np.ndarray)):
-        if isinstance(obj, np.ndarray) and obj.ndim == 1:
-            finite = np.isfinite(obj)
-            seq = (", ".join(np.where(finite, "%.17g", "null").tolist()) % tuple(obj[finite].tolist())).split(", ")
-        else:
-            seq = [dumps_json(v, indent) for v in obj]
+        if isinstance(obj, np.ndarray):
+            if obj.size and obj.shape[-1] >= 35:
+                return _dumps_long_array(obj, pad)
+            if obj.ndim == 1:
+                obj = [v if math.isfinite(v) else None for v in obj.tolist()]
+        seq = [dumps_json(v, indent) for v in obj]
         flat = ", ".join(seq)
         if len(flat) <= 100:
             return "[" + flat + "]"
@@ -88,13 +86,44 @@ def dumps_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _dumps_long_array(arr: np.ndarray, pad: str) -> str:
+    """n elements joined by ", " take at least 3n - 2 characters, so rows of
+    35 or more are over 100 whatever their values: every level prints one
+    element per line, all at ``pad``, and one template covers the array.
+    Finite ``%.17g`` output has no nan or inf in it; those become null."""
+    template, line = "%.17g", ",\n" + pad + "  "
+    for n in reversed(arr.shape):
+        template = "[\n" + pad + "  " + (template + line) * (n - 1) + template + "\n" + pad + "]"
+    text = template % tuple(arr.ravel().tolist())
+    if not np.isfinite(arr).all():
+        text = text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+    return text
+
+
+def _pieces(obj: dict, indent: int = 0):
+    """The text of the dict ``obj`` in pieces: each of its values, and each
+    value of a dict nested in it, is one piece, so a writer never holds the
+    whole document."""
+    if not obj:
+        yield "{}"
+        return
+    pad, sep = " " * indent, "{\n"
+    for k, v in obj.items():
+        yield f'{sep}{pad}  "{k}": '
+        if isinstance(v, dict):
+            yield from _pieces(v, indent + 2)
+        else:
+            yield dumps_json(v, indent + 2)
+        sep = ",\n"
+    yield "\n" + pad + "}"
+
+
 def _emit(doc: dict, out_path: str | None):
-    text = dumps_json(doc) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``doc`` and a newline to ``out_path``, or to stdout, one piece
+    of :func:`_pieces` at a time."""
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(_pieces(doc))
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -617,7 +617,12 @@ def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list
     """The jet of ``expr`` at the points ``z``.  Each division appends to
     ``vanished`` a mask of the points where more orders could help: those
     that lost orders to a removable zero, and those where the denominator
-    showed no nonzero coefficient."""
+    showed no nonzero coefficient.  A nonzero finite constant c in a product
+    or as a divisor is a scalar: c * e and e * c give e's coefficients
+    times c, e / c gives them over c, as :func:`jet_mul` and
+    :func:`jet_div` of e with c's jet do on finite jets.  (numpy's fused
+    complex product may round c * e and e * c apart in the last bit.)
+    A quotient by zero stays a pole at every point."""
     kind = expr.kind
     if kind == "const":
         coeffs = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
@@ -634,9 +639,17 @@ def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list
     if kind == "sub":
         return jet_sub(_eval_jet_tree(expr.args[0], z, order, vanished), _eval_jet_tree(expr.args[1], z, order, vanished))
     if kind == "mul":
-        return jet_mul(_eval_jet_tree(expr.args[0], z, order, vanished), _eval_jet_tree(expr.args[1], z, order, vanished))
+        a, b = expr.args
+        if _is_scale(a):
+            a, b = b, a
+        if _is_scale(b):
+            return Jet(z, _eval_jet_tree(a, z, order, vanished).coeffs * b.value)
+        return jet_mul(_eval_jet_tree(a, z, order, vanished), _eval_jet_tree(b, z, order, vanished))
     if kind == "div":
-        coeffs, deepen = _quotient(_eval_jet_tree(expr.args[0], z, order, vanished), _eval_jet_tree(expr.args[1], z, order, vanished))
+        a, b = expr.args
+        if _is_scale(b):
+            return Jet(z, _eval_jet_tree(a, z, order, vanished).coeffs / b.value)
+        coeffs, deepen = _quotient(_eval_jet_tree(a, z, order, vanished), _eval_jet_tree(b, z, order, vanished))
         if deepen.any():
             vanished.append(deepen)
         return Jet(z, coeffs)
@@ -647,3 +660,8 @@ def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list
     if kind == "exp":
         return jet_exp(_eval_jet_tree(expr.args[0], z, order, vanished))
     raise AssertionError(f"unknown node kind {kind!r}")
+
+
+def _is_scale(e: AnalyticExpr) -> bool:
+    """A nonzero finite constant, applied to a jet as a scalar."""
+    return e.kind == "const" and e.value != 0 and bool(np.isfinite(e.value))

@@ -16,7 +16,11 @@ run as strict xfails so that the defects stay in view:
 - ``_ROUNDING_LOSSES`` fail by rounding alone.  The quotient recurrence
   carries an error of about eps/r^k into order k, r the radius of
   convergence of an intermediate series (z/z at z0 has r = |z0|), while the
-  true coefficient of the whole expression is much smaller.
+  true coefficient of the whole expression is much smaller.  Tree 562
+  left the list, and runs as a pass, when constant factors became
+  scalars: its product c * e is now rounded as e * c, and its worst error
+  fell from 1.12e-12 to 6.3e-13.  That is a change of rounding, not of
+  accuracy.
 - ``_SPURIOUS_POLES`` raise PoleAtPoint on the removable quotient.  Its
   retry at a higher order lets the coefficients of an inner quotient grow
   like r^-k, and the relative vanishing rule of ``jets._quotient`` then
@@ -39,8 +43,8 @@ DEPTH = 5
 ORDER = 8
 TOL = 1e-12
 _POWERS = (-2, -1, 2, 3)
-# the worst error of each, over its points: 1.2e-12 to 7.3e-11
-_ROUNDING_LOSSES = (258, 271, 374, 389, 530, 562, 649, 802, 870, 897, 898)
+# the worst error of each, over its points: 1.1e-12 to 7.3e-11
+_ROUNDING_LOSSES = (258, 271, 374, 389, 530, 649, 802, 870, 897, 898)
 _SPURIOUS_POLES = (418,)
 
 
@@ -102,6 +106,7 @@ def _worst_error(index: int):
 @pytest.mark.parametrize(
     "index",
     list(range(TREES))
+    + [562]  # off _ROUNDING_LOSSES: see the module docstring
     + [pytest.param(i, marks=pytest.mark.xfail(strict=True, reason="rounding loss, ROADMAP item 10"))
        for i in _ROUNDING_LOSSES]
     + [pytest.param(i, marks=pytest.mark.xfail(strict=True, raises=PoleAtPoint, reason="spurious pole, ROADMAP item 10"))

@@ -258,6 +258,34 @@ def test_division_inverts_multiplication():
         np.testing.assert_allclose(back.coeffs, a.coeffs, rtol=1e-10, atol=1e-10)
 
 
+def test_constant_operands_act_as_scalars():
+    # c * e, e * c and e / c scale the jet of e; they equal the product and quotient with c's jet
+    rng = np.random.default_rng(11)
+    e = exp(Z) * Z**2 - (0.5 + 0.25j) / (Z - 3.0)
+    zs = rng.uniform(-1.5, 1.5, 64) + 1j * rng.uniform(-1.5, 1.5, 64)
+    real = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4, 4)
+    for c in [*real, *(rng.normal(size=(4, 2)) @ [1.0, 1j])]:
+        for order in (0, 3, 8):
+            E, C = eval_jet(e, zs, order), eval_jet(const(c), zs, order)
+            assert np.all(np.isfinite(E.coeffs))
+            EC = jet_mul(E, C).coeffs
+            np.testing.assert_array_equal(eval_jet(e * const(c), zs, order).coeffs, EC)
+            np.testing.assert_array_equal(eval_jet(const(c) * e, zs, order).coeffs, EC)
+            np.testing.assert_array_equal(eval_jet(e / const(c), zs, order).coeffs, jet_div(E, C).coeffs)
+            # numpy's fused complex product may round C * E and E * C apart in the last bit
+            gap = np.abs(EC - jet_mul(C, E).coeffs)
+            assert np.all(gap <= 4 * np.finfo(float).eps * abs(c) * np.abs(E.coeffs))
+
+
+def test_division_by_a_zero_constant_is_a_pole_everywhere():
+    e = exp(Z) * Z**2
+    zs = np.array([0.5, -1.0 + 0.25j, 0.0])
+    for order in (0, 3):
+        assert np.all(np.isnan(eval_jet(e / const(0.0), zs, order).coeffs))
+        with pytest.raises(PoleAtPoint):
+            eval_jet(e / const(0.0), 0.5, order)
+
+
 def test_higher_coefficients_match_mpmath_taylor():
     # independent high-precision oracle for orders 0..5
     import mpmath as mp

@@ -1,4 +1,5 @@
-"""The row-at-a-time writers against the per-element writers they replaced.
+"""The writers that format many values per ``%`` call against the
+per-element writers they replaced.
 
 The oracles below are the per-element ``dumps_json``, ``_float_grid``,
 ``write_obj`` and ``write_sidecar`` that formatted one Python value per
@@ -58,7 +59,11 @@ def oracle_dumps_json(obj, indent: int = 0) -> str:
 
 
 def oracle_float_grid(arr) -> list:
-    return [[None if not np.isfinite(v) else float(v) for v in row] for row in np.asarray(arr, dtype=np.float64)]
+    """Nested lists of floats, None for the non-finite ones, for an array of any rank >= 1."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim > 1:
+        return [oracle_float_grid(a) for a in arr]
+    return [None if not np.isfinite(v) else float(v) for v in arr]
 
 
 def oracle_write_obj(mesh, path):
@@ -119,11 +124,13 @@ def _rows_around_the_inline_limit():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_dumps_json_matches_the_per_element_oracle_on_grids(seed):
+    # rows of 35 or more elements take the one-% path of the whole array
     rng = np.random.default_rng(seed)
-    for shape in [(1, 1), (1, 7), (3, 1), (2, 4), (5, 9), (17, 6)]:
+    shapes = [(1, 1), (1, 7), (3, 1), (2, 4), (5, 9), (17, 6), (3, 34), (4, 35), (2, 64), (2, 3, 40), (0, 40), (3, 0)]
+    for shape in shapes:
         arr = _awkward(rng, shape)
-        doc = {"fields": {"a": arr, "b": arr[:, ::-1]}, "x": 1.5}
-        oracle = {"fields": {"a": oracle_float_grid(arr), "b": oracle_float_grid(arr[:, ::-1])}, "x": 1.5}
+        doc = {"fields": {"a": arr, "b": arr[..., ::-1]}, "x": 1.5}
+        oracle = {"fields": {"a": oracle_float_grid(arr), "b": oracle_float_grid(arr[..., ::-1])}, "x": 1.5}
         assert dumps_json(doc) == oracle_dumps_json(oracle)
 
 
@@ -183,6 +190,7 @@ def test_mesh_writers_match_the_per_element_oracles(tmp_path, ny, nx):
         ("--surface", "catenoid", "--grid", "8x8"),
         ("--surface", "deformed-catenoid", "--t", "0.4114", "--grid", "16x16"),
         ("--G", "z", "--h", "1", "--domain=-1,1,-1,1", "--grid", "9x9"),  # nulls, inline rows
+        ("--surface", "deformed-catenoid", "--t", "0.4114", "--grid", "40x9"),  # one % per field
     ],
 )
 def test_analyze_report_matches_the_oracle(tmp_path, argv):
@@ -191,6 +199,21 @@ def test_analyze_report_matches_the_oracle(tmp_path, argv):
     doc = cmd_analyze(build_parser().parse_args(["analyze", *argv]))
     doc["fields"] = {name: oracle_float_grid(arr) for name, arr in doc["fields"].items()}
     assert out.read_text() == oracle_dumps_json(doc) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--surface", "deformed-catenoid", "--t", "0.4114", "--grid", "40x9"),
+        ("analyze", "--surface", "catenoid", "--t", "2"),  # the error document
+    ],
+)
+def test_stdout_gets_the_bytes_of_the_out_file(tmp_path, capsysbinary, argv):
+    out = tmp_path / "doc.json"
+    code = main([*argv, "--out", str(out)])
+    assert capsysbinary.readouterr().out == b""
+    assert main(list(argv)) == code
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_mesh_outputs_match_the_oracle(tmp_path):
