@@ -10,10 +10,12 @@ Integration runs on the jet engine: one jet of rho at a point gives the
 Taylor coefficients of w by c_{k+2} = -(rho w)_k / (4 (k+1)(k+2)), and a
 step sums that series to order 10, accepting it when its last two terms
 are within tolerance and splitting it otherwise (Corliss & Chang, ACM TOMS
-8, 1982; Jorba & Zou, Exp. Math. 14, 2005).  Paths and grids take the
-same adaptive steps.  On a grid all rows march in lockstep, a step spans as
-many cells as the tail test allows, and the nodes inside it are read from
-its series (dense output; Hairer, Norsett & Wanner, Solving ODEs I, II.6).
+8, 1982; Jorba & Zou, Exp. Math. 14, 2005).  Paths and grids march by
+one rule: a run of steps along a straight line, each as long as the tail
+test allows, with the nodes inside a step read from its series (dense
+output; Hairer, Norsett & Wanner, Solving ODEs I, II.6).  A path takes one
+run per straight stretch, its vertices the nodes; a grid takes three, the
+last with all rows in lockstep.
 
 The minimal surface behind a system is recovered through the spinor
 representation: G = w2/w1, h = -2 w1 w2, metric (|w1|^2+|w2|^2)^2.  Data
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,7 +180,7 @@ def _weights(t) -> np.ndarray:
     return np.stack([tk, _POWERS * np.concatenate([np.zeros_like(tk[..., :1]), tk[..., :-1]], axis=-1)])
 
 
-def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, observer=None, nodes=(), out=None):
+def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, nodes=(), out=None):
     """Carry states from the points ``z0`` to ``z0 + dz`` by Taylor steps.
 
     ``y`` has one column per point and the rows (w1, w2, w1', w2'),
@@ -189,19 +191,20 @@ def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, observer=None, n
     last two terms of each series of w and of w' are within DEFAULT_ATOL +
     DEFAULT_RTOL max(|old value|, |new value|), and split otherwise (w alone
     would leave w' off by ~N times that tail near a singularity of rho).
-    ``observer(z, y)`` fires at every accepted step.
 
     Dense output: ``nodes`` are sorted offsets from ``z0`` in [0, dz], and
     each accepted step sums its series (and their integrals, for positions)
     at the nodes that fall inside it, writing the states at ``z0 + nodes[k]``
-    to ``out[:, k]``.  Returns the states at ``z0 + dz`` and the numbers of
-    accepted and rejected steps.
+    to ``out[:, k]``; for dz = 0 every node gets ``y``.  Returns the states
+    at ``z0 + dz`` and the numbers of accepted and rejected steps.
     """
     z0 = np.asarray(z0, dtype=np.complex128)
     y = np.array(y, dtype=np.complex128)
-    if dz == 0:
-        return y, 0, 0
     nodes = np.asarray(nodes, dtype=np.complex128)
+    if dz == 0:
+        if len(nodes):
+            out[...] = y[:, None]
+        return y, 0, 0
     at = (nodes / dz).real  # the nodes as fractions of dz
     s, frac, k, steps = 0.0, 1.0, 0, 0
     for attempt in range(_MAX_STEPS_PER_SEGMENT):
@@ -214,10 +217,10 @@ def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, observer=None, n
         if not np.all(np.isfinite(r)):
             raise PoleOnPath(f"rho is not finite at z = {z[~np.isfinite(r).all(axis=0)][0]}")
         h = frac * dz
-        c = _hill_series(r, y[:2], y[2:4], _ORDER)
-        weights = _weights(h)  # of c_k in w and in w'
-        # an overflow gives inf silently; the readers of the pair refuse it (spinor_metric)
+        # an overflow gives inf or NaN silently: the tail test splits the step, and the readers of the pair refuse it
         with np.errstate(all="ignore"):
+            c = _hill_series(r, y[:2], y[2:4], _ORDER)
+            weights = _weights(h)  # of c_k in w and in w'
             new = np.tensordot(weights, c, axes=1).reshape(4, -1)
             tail = np.abs(weights[:, -2:, None, None] * c[-2:]).sum(axis=1).reshape(4, -1)
             err = float(np.max(tail / (DEFAULT_ATOL + DEFAULT_RTOL * np.maximum(np.abs(y[:4]), np.abs(new)))))
@@ -235,8 +238,6 @@ def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, observer=None, n
             y = new
             steps += 1
             s = 1.0 if last else s + frac
-            if observer is not None:
-                observer(z0 + s * dz, y)
             if last:
                 return y, steps, attempt + 1 - steps
         # Jorba & Zou: the tail of w' scales like h^(N-2); overflow (NaN) splits most
@@ -247,61 +248,56 @@ def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, observer=None, n
 
 @dataclass
 class PathSolution:
-    """Hill solutions along a polyline: accepted-step samples and drift."""
+    """Hill states at the vertices of a polyline, the largest deviation of
+    the Wronskian from 1/2 over them, and the numbers of Taylor steps."""
 
-    rho: AnalyticExpr
     path: list
-    samples: list = field(default_factory=list)  # (z, w1, w2, w1', w2')
-    wronskian_drift: float = 0.0
+    states: np.ndarray  # (n, 2, 2): [[w1, w2], [w1', w2']] at path[k]
+    wronskian_drift: float
+    steps: int
+    rejected: int
 
     @property
     def end_state(self) -> np.ndarray:
-        z, w1, w2, w1p, w2p = self.samples[-1]
-        return np.array([[w1, w2], [w1p, w2p]], dtype=np.complex128)
-
-    def states_at(self, points):
-        """State matrices at the requested sample points (must have been
-        recorded, e.g. as path vertices)."""
-        out = []
-        for p in points:
-            hits = [s for s in self.samples if abs(s[0] - p) <= 1e-12 * max(1.0, abs(p))]
-            if not hits:
-                raise ValueError(f"no recorded sample at {p}")
-            z, w1, w2, w1p, w2p = hits[-1]
-            out.append(np.array([[w1, w2], [w1p, w2p]], dtype=np.complex128))
-        return out
+        return self.states[-1]
 
 
 def integrate_hill(sys: HillSystem, path) -> PathSolution:
     """Integrate the fundamental pair along a polyline starting at the base.
 
     One jet call probes every segment at 33 points first; a pole of rho
-    there raises PoleOnPath naming the first such segment.
-    Every accepted Taylor step is recorded as a sample.  The Wronskian (a
-    first integral) is monitored there; the maximum deviation from 1/2 is
-    reported as ``wronskian_drift``.
+    there raises PoleOnPath naming the first such segment.  The polyline is
+    then marched in maximal straight runs, segments that go on in the same
+    direction (a zero-length segment goes on; a vertex that doubles back
+    starts a new run), by one run of Taylor steps each that reads the run's
+    vertices by dense output.  The Wronskian (a first integral) is checked
+    at every vertex; the largest deviation from 1/2 is ``wronskian_drift``.
     """
     path = [complex(p) for p in path]
     if abs(path[0] - sys.base) > 1e-12 * max(1.0, abs(sys.base)):
         raise ValueError("path must start at the system base point")
-    sol = PathSolution(rho=sys.rho, path=path)
-
-    def observe(z, y):
-        w1, w2, w1p, w2p = (complex(v) for v in y[:, 0])
-        sol.wronskian_drift = max(sol.wronskian_drift, abs(_wronskian(w1, w2, w1p, w2p) - 0.5))
-        sol.samples.append((complex(z[0]), w1, w2, w1p, w2p))
-
     za, zb = (np.array(ends, dtype=np.complex128) for ends in (path[:-1], path[1:]))
     probe = za[:, None] + (zb - za)[:, None] * np.linspace(0.0, 1.0, 33)
     ok = np.isfinite(eval_jet(sys.rho, probe, 0).value).all(axis=1)
     if not ok.all():
         k = int(np.argmin(ok))
         raise PoleOnPath(f"rho has a pole on the segment {path[k]} -> {path[k + 1]}")
-    y = sys.state_at_base.reshape(4, 1)
-    observe([sys.base], y)
-    for a, b in zip(path[:-1], path[1:]):
-        y = _advance(sys.rho, [a], b - a, y, observe)[0]
-    return sol
+    states = np.empty((len(path), 4), dtype=np.complex128)  # rows (w1, w2, w1', w2') at each vertex
+    states[0] = sys.state_at_base.reshape(4)
+    i = steps = rejected = 0
+    while i < len(path) - 1:
+        a, j = path[i], i + 1
+        while j < len(path) - 1:  # the run goes on while the next segment is zero or along it, to rounding
+            p = (path[j + 1] - path[j]) * (path[j] - a).conjugate()
+            if not abs(p.imag) <= 1e-12 * p.real:
+                break
+            j += 1
+        _, accepted, split = _advance(sys.rho, [a], path[j] - a, states[i, :, None], nodes=zb[i:j] - a,
+                                      out=states[i + 1 : j + 1].T[:, :, None])
+        i, steps, rejected = j, steps + accepted, rejected + split
+    with np.errstate(all="ignore"):  # an overflowed pair, which its readers refuse
+        drift = float(np.max(np.abs(_wronskian(*states.T) - 0.5)))
+    return PathSolution(path, states.reshape(-1, 2, 2), drift, steps, rejected)
 
 
 def rebase(sys: HillSystem, z: complex) -> HillSystem:
@@ -391,15 +387,15 @@ def spinor_metric(w1, w2, z):
 
 
 def reconstruct_weierstrass(sol: PathSolution) -> list[ReconstructedSample]:
-    """G = w2/w1 and h = -2 w1 w2 at every recorded sample, with lambda^2
+    """G = w2/w1 and h = -2 w1 w2 at every vertex of the path, with lambda^2
     and u = log(|w1|^2 + |w2|^2) of the metric :func:`spinor_metric` reads;
     a Gauss-map pole is a flagged sample, and a metric factor that is not a
     positive finite float raises DegeneratePoint."""
-    z, w1, w2 = np.array([s[:3] for s in sol.samples]).T
-    metric, pole = spinor_metric(w1, w2, z)
+    w1, w2 = sol.states[:, 0].T
+    metric, pole = spinor_metric(w1, w2, sol.path)
     return [
         ReconstructedSample(zk, None if pk else w2k / w1k, -2.0 * w1k * w2k, float(lk), float(uk), bool(pk))
-        for (zk, w1k, w2k, _, _), lk, uk, pk in zip(sol.samples, metric["lambda_sq"], metric["u"], pole)
+        for zk, w1k, w2k, lk, uk, pk in zip(sol.path, w1.tolist(), w2.tolist(), metric["lambda_sq"], metric["u"], pole)
     ]
 
 

@@ -584,8 +584,8 @@ def hill_round_trip(rho: AnalyticExpr, n_samples: int = 50, reach: complex = 1.0
     samples.
 
     Integrates a Wronskian-1/2 system (``state`` or the canonical linear
-    one) from 0 along a straight path subdivided at the sample points; at
-    each, rho is recovered from the Hill state by
+    one) from 0 along the straight path through the sample points, read at
+    them by dense output; at each, rho is recovered from the Hill state by
     :func:`hill.reconstructed_rho` (the eight-term entropy formula in terms
     of G and q, regular at the zeros of w1 and of w2) and compared with the
     input.  A sample where the recovered rho is not finite raises
@@ -597,7 +597,7 @@ def hill_round_trip(rho: AnalyticExpr, n_samples: int = 50, reach: complex = 1.0
     ts = np.linspace(0.15, 1.0, n_samples)
     pts = [complex(t * reach) for t in ts]
     sol = integrate_hill(sys, [0.0] + pts)
-    recovered = reconstructed_rho(sol.states_at(pts), rho, pts)
+    recovered = reconstructed_rho(sol.states[1:], rho, pts)
     if not np.isfinite(recovered).all():
         raise PoleAtPoint(f"the rho recovered from the spinors is undefined at {pts[np.argmin(np.isfinite(recovered))]}")
     worst = np.abs(recovered - eval_jet(rho, pts, 0).value).max()

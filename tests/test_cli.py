@@ -113,6 +113,29 @@ def test_a_pole_of_rho_between_mesh_rows_integrates(tmp_path):
     assert doc["mesh_wronskian_drift"] < 1e-10
 
 
+def test_reconstruct_prints_one_row_per_path_vertex(tmp_path):
+    code, doc = _run(tmp_path, "reconstruct", "--rho", "z", "--domain=-3,3,-3,3", "--samples", "2")
+    assert code == 0
+    reach = complex(3.0, 3.0) * 0.9
+    zs = [complex(s["z"]["re"], s["z"]["im"]) for s in doc["samples"]]
+    assert zs == [0.0] + [reach * t for t in np.linspace(0.5, 1.0, 2)]
+
+
+def test_reconstruct_on_a_path_of_repeated_vertices(tmp_path):
+    # a domain whose corner is 0 puts every sample at the base point
+    code, doc = _run(tmp_path, "reconstruct", "--rho=-1", "--domain=-1,0,-1,0", "--samples", "3")
+    assert code == 0 and doc["round_trip"]["pass"]
+    assert [(s["z"]["re"], s["z"]["im"]) for s in doc["samples"]] == [(0, 0)] * 4
+
+
+@pytest.mark.parametrize("argv", [("--rho", "1e300*z", "--samples", "5"), ("--rho", "z", "--domain=0,1e300,0,1e300")],
+                         ids=["series", "weights"])
+def test_an_overflowing_taylor_step_is_a_quiet_step_failure(tmp_path, capsys, argv):
+    code, doc = _run(tmp_path, "reconstruct", *argv)
+    assert code == 2 and doc["error"]["code"] == "step-failure"
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_command(tmp_path):
     code, doc = _run(
         tmp_path, "verify", "--surface", "catenoid", "--checks", "ricci,ecritical", "--delta", "0.02"

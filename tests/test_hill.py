@@ -26,7 +26,7 @@ from entropydiff.weierstrass import rho_from_derivatives
 def test_zero_coefficient_linear_solution():
     sys0 = HillSystem(const(0.0), 0.0, [[1.0, 0.0], [0.0, 0.5]])
     sol = integrate_hill(sys0, [0.0, 2.0])
-    _, w1, w2, _, _ = sol.samples[-1]
+    (w1, w2), _ = sol.end_state
     assert abs(w1 - 1.0) < 1e-12 and abs(w2 - 1.0) < 1e-12
     assert sol.wronskian_drift < 1e-10
 
@@ -36,7 +36,7 @@ def test_constant_negative_coefficient_exponentials():
     s = np.array([[1, 1], [-0.5, 0.5]]) / np.sqrt(2)
     sysm = HillSystem(const(-1.0), 0.0, s)
     sol = integrate_hill(sysm, [0.0, 1.0])
-    _, w1, w2, _, _ = sol.samples[-1]
+    (w1, w2), _ = sol.end_state
     assert abs(w1 - np.exp(-0.5) / np.sqrt(2)) < 1e-10
     assert abs(w2 - np.exp(0.5) / np.sqrt(2)) < 1e-10
     assert sol.wronskian_drift < 1e-10
@@ -86,7 +86,14 @@ def _airy_state(z):
 def test_airy_along_a_long_complex_polyline_matches_mpmath():
     path = [0.0, 2.0 + 1.0j, 3.0 - 2.0j, -1.0 - 3.0j, -4.0 + 1.0j, 0.5 + 4.0j]
     sol = integrate_hill(HillSystem(Z, 0.0, _airy_state(0.0)), path)
-    for z, st in zip(path[1:], sol.states_at(path[1:])):
+    for z, st in zip(path[1:], sol.states[1:]):
+        ref = _airy_state(z)
+        assert np.abs(st - ref).max() <= 1e-9 * np.abs(ref).max(), z
+    assert sol.wronskian_drift <= 1e-10
+    # a finely subdivided ray: one run of long steps, read at its vertices
+    ray = list(np.linspace(0.0, 1.0, 10001) * (-4.0 + 1.0j))
+    sol = integrate_hill(HillSystem(Z, 0.0, _airy_state(0.0)), ray)
+    for z, st in zip(ray[::1000], sol.states[::1000]):
         ref = _airy_state(z)
         assert np.abs(st - ref).max() <= 1e-9 * np.abs(ref).max(), z
     assert sol.wronskian_drift <= 1e-10
@@ -112,7 +119,7 @@ def test_path_passing_near_a_pole_splits_steps_and_stays_accurate():
     pole = 0.05j
     sys = HillSystem(const(1.0) / (Z - const(pole)), -1.0, _bessel_state(-1.0 - pole))
     sol = integrate_hill(sys, [-1.0, 1.0])
-    assert len(sol.samples) > 10  # one step of length 2 cannot pass the pole
+    assert sol.steps > 10  # one step of length 2 cannot pass the pole
     assert sol.wronskian_drift <= 1e-10
     assert np.abs(sol.end_state - _bessel_state(1.0 - pole)).max() <= 1e-9
 
@@ -125,7 +132,7 @@ def test_grid_nodes_match_path_integration_along_the_same_edges():
         edge = [grid.xs[0] + 1j * y for y in grid.ys[: j + 1]]
         row = [x + 1j * grid.ys[j] for x in grid.xs]
         sol = integrate_hill(sys, [sys.base] + edge + row[1:])
-        for i, st in enumerate(sol.states_at(row)):
+        for i, st in enumerate(sol.states[len(edge):]):
             got = np.array([[f["w1"][j, i], f["w2"][j, i]], [f["w1p"][j, i], f["w2p"][j, i]]])
             assert np.abs(got - st).max() <= 1e-12 * max(1.0, np.abs(st).max())
 
@@ -157,6 +164,52 @@ def _march_per_cell(sys: HillSystem, points, y) -> list:
     return states
 
 
+def test_a_long_ray_takes_a_few_long_steps(monkeypatch):
+    # 10001 vertices on one line; one step per segment would take 10000 jets
+    calls = _count_jets(monkeypatch)
+    ray = list(np.linspace(0.0, 1.0, 10001) * (0.9 + 0.9j))
+    sol = integrate_hill(HillSystem(const(-1.0), 0.0, canonical_state_phi_alpha(0.0, 1.0)), ray)
+    u = np.log(np.abs(sol.states[:, 0, 0]) ** 2 + np.abs(sol.states[:, 0, 1]) ** 2)
+    assert np.abs(u - np.log(np.cosh(np.real(ray)))).max() <= 1e-10
+    assert sol.wronskian_drift <= 1e-10
+    assert len(calls) <= 20
+    assert len(calls) == 1 + sol.steps + sol.rejected  # the pole probe, then one jet per attempted step
+
+
+def _grid_edge_case(grid, sys, j):
+    edge = [grid.xs[0] + 1j * y for y in grid.ys[: j + 1]]
+    return sys, [sys.base] + edge + [x + 1j * grid.ys[j] for x in grid.xs[1:]]
+
+
+_PATH_CASES = {
+    "airy-polyline": lambda: (HillSystem(Z, 0.0, _airy_state(0.0)),
+                              [0.0, 2.0 + 1.0j, 3.0 - 2.0j, -1.0 - 3.0j, -4.0 + 1.0j, 0.5 + 4.0j]),
+    "wild": lambda: (HillSystem(Z**2 - 0.5j * Z, 0.0, canonical_state_mu_nu(1.3, 0.2j)),
+                     [0.0, 1.0 + 0.5j, 0.5 + 1.5j, -0.5 + 1.0j, 0.0 + 2.0j]),
+    "near-pole": lambda: (HillSystem(const(1.0) / (Z - const(0.05j)), -1.0, _bessel_state(-1.0 - 0.05j)), [-1.0, 1.0]),
+    "grid-edge": lambda: _grid_edge_case(RectDomain(-1.0, 1.0, -0.5, 1.0).grid(11, 9), HillSystem(
+        Z - 0.5j * Z**2, 0.3 + 0.2j, canonical_state_mu_nu(0.8, 0.1j, base=0.3 + 0.2j)), 8),
+    "dense-grid-edge": lambda: _grid_edge_case(RectDomain(-1.0, 1.0, -0.5, 1.0).grid(129, 129), HillSystem(
+        exp(Z), 0.3 + 0.2j, canonical_state_mu_nu(0.8, 0.1j, base=0.3 + 0.2j)), 64),
+    "repeated-vertices": lambda: (HillSystem(Z, 0.0, canonical_state_mu_nu(1.0)),
+                                  [0.0, 0.0, 0.5, 0.5, 1.0, 1.0 + 0.5j, 1.0 + 0.5j, 1.0 + 0.5j]),
+    "doubling-back": lambda: (HillSystem(Z, 0.0, canonical_state_mu_nu(1.0)), [0.0, 1.0, 0.5, 2.0]),
+    "one-point": lambda: (HillSystem(Z, 0.0, canonical_state_mu_nu(1.0)), [0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(_PATH_CASES))
+def test_path_vertices_match_a_march_per_segment(case):
+    sys, path = _PATH_CASES[case]()
+    sol = integrate_hill(sys, path)
+    marched = np.array([y.reshape(4) for y in _march_per_cell(sys, path, sys.state_at_base.reshape(4, 1))])
+    got = sol.states.reshape(-1, 4)
+    assert np.all(np.abs(got - marched) <= 1e-12 * np.maximum(1.0, np.abs(marched)))
+    for k in range(1, len(path)):
+        if path[k] == path[k - 1]:  # a zero-length segment copies the state before it
+            assert np.array_equal(sol.states[k], sol.states[k - 1])
+
+
 def test_dense_grid_nodes_match_per_cell_integration_with_positions():
     grid = RectDomain(-1.0, 1.0, -0.5, 1.0).grid(129, 129)
     sys = HillSystem(exp(Z), 0.3 + 0.2j, canonical_state_mu_nu(0.8, 0.1j, base=0.3 + 0.2j))
@@ -169,7 +222,7 @@ def test_dense_grid_nodes_match_per_cell_integration_with_positions():
         row = [x + 1j * grid.ys[j] for x in grid.xs]
         sol = integrate_hill(sys, [sys.base] + edge + row[1:])
         marched = _march_per_cell(sys, edge + row[1:], start)[j:]
-        for i, (st, y) in enumerate(zip(sol.states_at(row), marched)):
+        for i, (st, y) in enumerate(zip(sol.states[len(edge):], marched)):
             got = np.array([f[k][j, i] for k in ("w1", "w2", "w1p", "w2p")])
             assert np.all(np.abs(got - st.reshape(4)) <= 1e-12 * np.maximum(1.0, np.abs(st.reshape(4))))
             got = np.array([f[k][j, i] for k in ("x1", "x2", "x3")])
@@ -221,7 +274,7 @@ def test_su2_action_preserves_u_pointwise():
     sys = HillSystem(const(-1.0), 0.0, canonical_state_phi_alpha(0.15, 1.0))
     pts = [0.0, 0.4 + 0.3j, -0.6 + 1.1j, 1.2 - 0.8j]
     sol = integrate_hill(sys, pts)
-    states = sol.states_at(pts[1:])
+    states = sol.states[1:]
     for _ in range(100):
         U = _random_su2(rng)
         for st in states:
@@ -338,7 +391,7 @@ def test_round_trip_recovers_entropy_coefficient():
         sys = HillSystem(rho, 0.0, canonical_state_mu_nu(1.0, 0.1))
         pts = [0.25 + 0.2j, 0.6 - 0.3j, 1.1 + 0.7j]
         sol = integrate_hill(sys, [0.0] + pts)
-        rhat = reconstructed_rho(sol.states_at(pts), rho, pts)
+        rhat = reconstructed_rho(sol.states[1:], rho, pts)
         assert np.abs(rhat - rho.eval(np.array(pts))).max() < 1e-8
         assert sol.wronskian_drift < 1e-10
 
