@@ -17,6 +17,8 @@ evaluate jets on a whole grid of base points at once.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import ExpressionParseError, OrderOverflow, PoleAtPoint
@@ -49,7 +51,16 @@ class AnalyticExpr:
     Build expressions from the module-level variable :data:`Z` and the
     helpers :func:`const` and :func:`exp`, or parse them from text with
     :func:`parse_expression`.  Instances are immutable and hashable by
-    identity; all operators return new trees.
+    identity.
+
+    The binary operators fold as they build: an operator may return a
+    new tree, a folded constant or one of its operands (see :func:`_fold`).
+    So 0 * e is 0 even where e has a pole: the product is taken as the
+    meromorphic function it is, whose singularity there is removable.  A
+    quotient by the constant 0 is not folded and stays a pole at every
+    point.  ``-e``, ``e ** n`` and :func:`exp` build their node as written.
+    The depth bound of :func:`parse_expression` applies to the folded tree,
+    the one that evaluation recurses over.
     """
 
     __slots__ = ("kind", "value", "args", "depth")
@@ -71,28 +82,28 @@ class AnalyticExpr:
         raise TypeError(f"cannot use {type(other).__name__} in an expression")
 
     def __add__(self, other):
-        return AnalyticExpr("add", args=(self, self._wrap(other)))
+        return _fold("add", self, self._wrap(other))
 
     def __radd__(self, other):
-        return AnalyticExpr("add", args=(self._wrap(other), self))
+        return _fold("add", self._wrap(other), self)
 
     def __sub__(self, other):
-        return AnalyticExpr("sub", args=(self, self._wrap(other)))
+        return _fold("sub", self, self._wrap(other))
 
     def __rsub__(self, other):
-        return AnalyticExpr("sub", args=(self._wrap(other), self))
+        return _fold("sub", self._wrap(other), self)
 
     def __mul__(self, other):
-        return AnalyticExpr("mul", args=(self, self._wrap(other)))
+        return _fold("mul", self, self._wrap(other))
 
     def __rmul__(self, other):
-        return AnalyticExpr("mul", args=(self._wrap(other), self))
+        return _fold("mul", self._wrap(other), self)
 
     def __truediv__(self, other):
-        return AnalyticExpr("div", args=(self, self._wrap(other)))
+        return _fold("div", self, self._wrap(other))
 
     def __rtruediv__(self, other):
-        return AnalyticExpr("div", args=(self._wrap(other), self))
+        return _fold("div", self._wrap(other), self)
 
     def __neg__(self):
         return AnalyticExpr("neg", args=(self,))
@@ -173,6 +184,30 @@ def const(c) -> AnalyticExpr:
 def exp(e) -> AnalyticExpr:
     """exp of an expression."""
     return AnalyticExpr("exp", args=(AnalyticExpr._wrap(e),))
+
+
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+def _fold(kind: str, a: AnalyticExpr, b: AnalyticExpr) -> AnalyticExpr:
+    """The tree of ``a kind b``, folded: two constants become one (except a
+    quotient by zero), a product with 0 becomes 0, and a product or
+    quotient by 1 or a sum or difference with 0 returns the other operand.
+    0 - e stays a difference: 0 - x and -x differ in the sign of a zero.
+    Constants fold by Python's complex arithmetic, which may round a product
+    or quotient one bit apart from numpy's (numpy divides by multiplying
+    with a reciprocal)."""
+    ca = a.value if a.kind == "const" else None
+    cb = b.value if b.kind == "const" else None
+    if ca is not None and cb is not None and not (kind == "div" and cb == 0):
+        return const(_ARITHMETIC[kind](ca, cb))
+    if kind == "mul" and (ca == 0 or cb == 0):
+        return const(0.0)
+    if (kind == "mul" and ca == 1) or (kind == "add" and ca == 0):
+        return b
+    if (kind in ("mul", "div") and cb == 1) or (kind in ("add", "sub") and cb == 0):
+        return a
+    return AnalyticExpr(kind, args=(a, b))
 
 
 def _format_expr(e: AnalyticExpr) -> str:
@@ -497,16 +532,21 @@ def _quotient(a: Jet, b: Jet):
     that lost orders and those where b showed no nonzero coefficient)."""
     m = _common_order(a, b)
     shape = np.broadcast_shapes(a.coeffs.shape[1:], b.coeffs.shape[1:])
-    ac = np.broadcast_to(a.coeffs[: m + 1], (m + 1,) + shape).copy()
-    bc = np.broadcast_to(b.coeffs[: m + 1], (m + 1,) + shape).copy()
+    ac = np.broadcast_to(a.coeffs[: m + 1], (m + 1,) + shape)
+    bc = np.broadcast_to(b.coeffs[: m + 1], (m + 1,) + shape)
 
-    amag, bmag = np.abs(ac), np.abs(bc)
+    bmag = np.abs(bc)
     bmax = np.fmax.reduce(bmag, axis=0)
     poles = ~(bmax > 0.0)  # no nonzero coefficient, or none but NaN
-    bsig = bmag > _CANCEL_RTOL * np.where(bmax > 0, bmax, 1.0)
-    lead_b = np.where(poles, 0, np.argmax(bsig, axis=0))
+    # b's lead order is 0 where |b0| is significant; search only the other
+    # points, among them those where b0 is NaN (NaN compares false)
+    small = ~(bmag[0] > _CANCEL_RTOL * bmax) & ~poles
+    lead_b = np.zeros(shape, dtype=np.intp)
+    if small.any():
+        lead_b[small] = np.argmax(bmag[:, small] > _CANCEL_RTOL * bmax[small], axis=0)
 
     if np.any(lead_b > 0):
+        amag = np.abs(ac)
         amax = np.fmax.reduce(amag, axis=0)
         asig = amag > _CANCEL_RTOL * np.where(amax > 0, amax, 1.0)
         lead_a = np.where(asig.any(axis=0), np.argmax(asig, axis=0), m + 1)
@@ -622,7 +662,11 @@ def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list
     times c, e / c gives them over c, as :func:`jet_mul` and
     :func:`jet_div` of e with c's jet do on finite jets.  (numpy's fused
     complex product may round c * e and e * c apart in the last bit.)
-    A quotient by zero stays a pole at every point."""
+    A constant addend c takes one pass over e's coefficients: c + e and
+    e + c are e + 0.0, e - c is e - 0.0 and c - e is 0.0 - e, with c put
+    into row 0 alone.  These are the bits of :func:`jet_add` and
+    :func:`jet_sub` against c's jet, signed zeros included.  A quotient by
+    zero stays a pole at every point."""
     kind = expr.kind
     if kind == "const":
         coeffs = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
@@ -634,10 +678,20 @@ def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list
         if order >= 1:
             coeffs[1] = 1.0
         return Jet(z, coeffs)
-    if kind == "add":
-        return jet_add(_eval_jet_tree(expr.args[0], z, order, vanished), _eval_jet_tree(expr.args[1], z, order, vanished))
-    if kind == "sub":
-        return jet_sub(_eval_jet_tree(expr.args[0], z, order, vanished), _eval_jet_tree(expr.args[1], z, order, vanished))
+    if kind in ("add", "sub"):
+        a, b = expr.args
+        sub = kind == "sub"
+        if b.kind == "const":
+            e = _eval_jet_tree(a, z, order, vanished).coeffs
+            coeffs = e - 0.0 if sub else e + 0.0
+            coeffs[0] = e[0] - b.value if sub else e[0] + b.value
+        elif a.kind == "const":
+            e = _eval_jet_tree(b, z, order, vanished).coeffs
+            coeffs = 0.0 - e if sub else e + 0.0
+            coeffs[0] = a.value - e[0] if sub else a.value + e[0]
+        else:
+            return (jet_sub if sub else jet_add)(_eval_jet_tree(a, z, order, vanished), _eval_jet_tree(b, z, order, vanished))
+        return Jet(z, coeffs)
     if kind == "mul":
         a, b = expr.args
         if _is_scale(a):

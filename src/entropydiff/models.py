@@ -124,7 +124,7 @@ def deformed_helicoid(t: float, x_half_width: float = 1.5) -> ModelSurface:
 
     def closed_form(x: float, y: float) -> np.ndarray:
         base = np.array([math.sinh(x) * math.sin(y), -math.sinh(x) * math.cos(y), y])
-        corr = np.array([0.0, x + t * math.sinh(x) * math.cos(y), t * y - math.cosh(x) * math.sin(y)])
+        corr = np.array([0.0, x - t * math.sinh(x) * math.cos(y), t * y - math.cosh(x) * math.sin(y)])
         return base + c * corr
 
     return ModelSurface("deformed-helicoid", t, data, closed_form, FamilyRelation.P_EQ_IHALF_Q)

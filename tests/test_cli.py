@@ -496,7 +496,11 @@ def test_cli_import_leaves_scipy_out(module):
     # numpy.polynomial builds the Gauss-Legendre rule, on first use only
     import subprocess
     import sys
+    from pathlib import Path
 
+    # the child finds the package as this process does, with or without PYTHONPATH
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = f"import sys, entropydiff.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Jet arithmetic and expression-grammar tests."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from entropydiff import jets
 from entropydiff.errors import ExpressionParseError, OrderOverflow, PoleAtPoint
 from entropydiff.jets import (
     MAX_JET_ORDER,
+    AnalyticExpr,
+    Jet,
     Z,
     const,
     eval_jet,
@@ -167,6 +171,18 @@ def test_scalar_and_array_jets_agree_at_removable_points():
                 assert np.all(np.isfinite(point)), (str(e), order)
                 np.testing.assert_array_equal(grid[:, 1], point, err_msg=f"{e} at order {order}")
                 np.testing.assert_allclose(point[0], f.eval(z0), rtol=1e-9, atol=1e-12)
+    # the quotient on one array mixing regular points, removable zeros of
+    # order 1 and 2, and a denominator whose value is NaN but whose higher
+    # rows are finite: each point equals its quotient taken alone, bit for
+    # bit (a one-point array, as eval_jet takes a scalar)
+    a, b = (rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6)) for _ in range(2))
+    a[0, 1] = b[0, 1] = 0.0
+    a[:2, 3] = b[:2, 3] = 0.0
+    a[0, 4] = b[0, 4] = complex(np.nan, 0.0)
+    grid = jet_div(Jet(0.0, a), Jet(0.0, b)).coeffs
+    for k, lost in enumerate((0, 1, 0, 2, 1, 0)):
+        np.testing.assert_array_equal(grid[:, k], jet_div(Jet(0.0, a[:, k : k + 1]), Jet(0.0, b[:, k : k + 1])).coeffs[:, 0])
+        assert np.all(np.isfinite(grid[: 4 - lost, k])) and np.all(np.isnan(grid[4 - lost :, k])), k
 
 
 def test_only_vanishing_denominators_are_deepened(monkeypatch):
@@ -284,6 +300,116 @@ def test_division_by_a_zero_constant_is_a_pole_everywhere():
         assert np.all(np.isnan(eval_jet(e / const(0.0), zs, order).coeffs))
         with pytest.raises(PoleAtPoint):
             eval_jet(e / const(0.0), 0.5, order)
+
+
+def test_constant_quotient_by_zero_is_not_folded():
+    e = const(1.0) / const(0.0)
+    assert e.kind == "div"
+    assert np.all(np.isnan(eval_jet(e, np.array([0.5, 0.0]), 2).coeffs))
+    with pytest.raises(PoleAtPoint):
+        eval_jet(e, 0.5, 2)
+
+
+def test_operators_fold_constants_and_identities():
+    e = exp(Z)
+    assert str(const(2.0) + 3.0) == "5.0" and str(const(1j) * const(1j)) == "-1.0"
+    assert str(const(6.0) / 4.0) == "1.5" and str(const(1.0) - const(0.25)) == "0.75"
+    for folded in (e * 0, 0 * e, const(0.0) * const(2.0)):
+        assert folded.kind == "const" and folded.value == 0
+    for same in (1 * e, e * 1.0, e / 1, e + 0, 0.0 + e, e - 0):
+        assert same is e
+    # 0 - e keeps its zero signs, and neg, pow and exp of a constant stay as written
+    assert str(0 - e) == "(0.0 - exp(z))"
+    assert [x.kind for x in (-const(2.0), const(2.0) ** 2, exp(const(1.0)), 1 / e)] == ["neg", "pow", "exp", "div"]
+
+
+def test_catalog_catenoid_and_helicoid_fold_to_their_data():
+    from entropydiff.models import catenoid, helicoid
+
+    def exps(x):
+        return (x.kind == "exp") + sum(exps(a) for a in x.args)
+
+    for m, h in ((catenoid(), "1.0"), (helicoid(), "-1.0i")):
+        assert (str(m.data.G), str(m.data.h)) == ("(0.0 - exp(z))", h)
+        assert exps(m.data.G) + exps(m.data.h) == 1
+
+
+def test_a_catenoid_field_pass_takes_one_exp(monkeypatch):
+    from entropydiff.models import catenoid
+    from entropydiff.weierstrass import SurfaceFields
+
+    calls = []
+    jet_exp = jets.jet_exp
+
+    def counted(a):
+        calls.append(a.coeffs.shape)
+        return jet_exp(a)
+
+    monkeypatch.setattr(jets, "jet_exp", counted)
+    m = catenoid()
+    f = SurfaceFields(m.data, m.data.domain.grid(16, 16).zs)
+    assert np.all(np.isfinite(f.metric["K"])) and np.all(np.isfinite(f.rho))
+    assert len(calls) == 1
+
+
+def test_a_product_with_zero_is_zero_where_the_other_factor_has_a_pole():
+    # 0 * (1/z) is the zero function: its singularity at 0 is removable
+    zs = np.array([0.0, 0.5 - 1j])
+    for e in (0 * (const(1.0) / Z), (const(1.0) / Z) * const(0.0)):
+        for order in (0, 3):
+            np.testing.assert_array_equal(eval_jet(e, zs, order).coeffs, np.zeros((order + 1, 2)))
+            np.testing.assert_array_equal(eval_jet(e, 0.0, order).coeffs, np.zeros(order + 1))
+    # the product as written, unfolded, is NaN there
+    unfolded = AnalyticExpr("mul", args=(const(0.0), const(1.0) / Z))
+    assert np.all(np.isnan(eval_jet(unfolded, zs, 3).coeffs[:, 0]))
+    with pytest.raises(PoleAtPoint):
+        eval_jet(unfolded, 0.0, 3)
+
+
+_BUILD = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+def _fold_pair(rng, depth):
+    """(as written, folded): one random tree built node by node and through
+    the folding operators.  Its constants are 0, 1 and a few reals that are
+    powers of two, and its denominators are exp(...), 1 or such a constant,
+    so that no pole meets a factor 0.  Every folded constant is then exact:
+    in general Python's complex arithmetic, which folds, and numpy's, which
+    evaluates jets, may round one operation apart in the last bit."""
+    if depth == 0 or rng.random() < 0.3:
+        leaf = rng.choice(["z", "0", "1", "2", "-0.5", "0.25", "-4"], p=[0.3, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05])
+        leaf = Z if leaf == "z" else const(float(leaf))
+        return leaf, leaf
+    kind = rng.choice(["add", "sub", "mul", "div", "exp"])
+    if kind == "exp":
+        raw, folded = _fold_pair(rng, depth - 1)
+        return exp(raw), exp(folded)
+    (ra, fa), (rb, fb) = _fold_pair(rng, depth - 1), _fold_pair(rng, depth - 1)
+    if kind == "div" and not (rb is fb and rb.kind == "const" and rb.value != 0):
+        rb, fb = (exp(rb), exp(fb)) if rng.random() < 0.7 else (const(1.0), const(1.0))
+    return AnalyticExpr(kind, args=(ra, rb)), _BUILD[kind](fa, fb)
+
+
+def _size(e):
+    return 1 + sum(_size(a) for a in e.args)
+
+
+def test_folded_trees_have_the_jets_of_the_trees_as_written():
+    # equal at every finite coefficient (a zero may change sign), and
+    # non-finite at the same ones: where exp overflows, e / 1 as written
+    # gives inf * 0 = NaN in the other part of inf, and folded keeps e's inf
+    rng = np.random.default_rng(29)
+    zs = np.concatenate([rng.uniform(-1.0, 1.0, 6) + 1j * rng.uniform(-1.0, 1.0, 6), [0.0, 1.0]])
+    saved = 0
+    for _ in range(150):
+        raw, folded = _fold_pair(rng, 4)
+        saved += _size(raw) - _size(folded)
+        for order in (0, 3):
+            want, got = eval_jet(raw, zs, order).coeffs, eval_jet(folded, zs, order).coeffs
+            finite = np.isfinite(want)
+            np.testing.assert_array_equal(np.isfinite(got), finite, err_msg=str(raw))
+            np.testing.assert_array_equal(got[finite], want[finite], err_msg=str(raw))
+    assert saved > 300
 
 
 def test_higher_coefficients_match_mpmath_taylor():

@@ -82,8 +82,9 @@ def test_deformed_helicoid_axis_content():
 
 def test_closed_form_vs_weierstrass_integration():
     grid = RectDomain(-1, 1, 0, np.pi).grid(6, 6)
-    for m in (catenoid(), helicoid(), deformed_catenoid(0.5)):
-        assert closed_form_vs_weierstrass(m, grid) < 1e-6
+    # H_t at t != 0: its correction term in the second coordinate is odd in t
+    for m in (catenoid(), helicoid(), deformed_catenoid(0.5), deformed_helicoid(0.3161), deformed_helicoid(-0.7)):
+        assert closed_form_vs_weierstrass(m, grid) < 1e-6, m.data.label
 
 
 def test_ht_period_matches_displayed_parameterization():
