@@ -401,25 +401,23 @@ def reconstruct_weierstrass(sol: PathSolution) -> list[ReconstructedSample]:
 
 def reconstructed_rho(states, rho: AnalyticExpr, z) -> np.ndarray:
     """rho recovered from the states [[w1, w2], [w1', w2']] (shape (n, 2, 2))
-    at the n points ``z`` by
+    at the n points ``z`` as
 
-        rho = 2 {R, z} - q''/q + (5/4) (q'/q)^2,
+        rho = 2 {R, z},
 
-    the eight-term entropy formula written in G and q = -h G'/G.  Here
-    q = 2 (w1 w2' - w2 w1') comes from the jets of the spinors with no
-    division, and R is w2/w1 or w1/w2 ({1/G, z} = {G, z}), whichever has
-    the larger denominator.  So every term is regular wherever the pair
-    is, at a zero of w1 (a Gauss-map pole) or of w2 (G = 0) too.
+    the Schwarzian form of the entropy coefficient wherever the Hopf
+    coefficient is constant, as q = 2W = 1 is for every Hill pair.  R is
+    w2/w1 = G or w1/w2 = 1/G ({1/G, z} = {G, z}), whichever has the larger
+    denominator, with its jet from those of the spinors.  So rho is regular
+    wherever the pair is, at a zero of w1 (a Gauss-map pole) or of w2
+    (G = 0) too.
     """
     z = np.asarray(z, dtype=np.complex128)
     states = np.asarray(states, dtype=np.complex128)
     c = _hill_series(eval_jet(rho, z, 1).coeffs, states[:, 0].T, states[:, 1].T, 3)
-    w1, w2 = Jet(z, c[:, 0]), Jet(z, c[:, 1])
-    q = (2.0 * _wronskian(w1, w2, w1.derivative_jet(), w2.derivative_jet())).coeffs
     swap = np.abs(c[0, 0]) < np.abs(c[0, 1])
-    R = jet_div(Jet(z, np.where(swap, c[:, 0], c[:, 1])), Jet(z, np.where(swap, c[:, 1], c[:, 0]))).coeffs
-    with np.errstate(all="ignore"):
-        return 2.0 * taylor_schwarzian(R) - 2.0 * q[2] / q[0] + 1.25 * (q[1] / q[0]) ** 2
+    R = jet_div(Jet(np.where(swap, c[:, 0], c[:, 1])), Jet(np.where(swap, c[:, 1], c[:, 0]))).coeffs
+    return 2.0 * taylor_schwarzian(R)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,25 @@ one complex variable.  :func:`eval_jet` evaluates such an expression as a
 truncated Taylor series at a point, which is how every derivative in the
 library is produced: no symbolic algebra, no finite differencing.
 
-Jets store *Taylor coefficients* ``coeffs[k] = f^(k)(z0) / k!`` rather than
-raw derivatives, so the arithmetic recurrences stay overflow-free; use
-:meth:`Jet.derivative` to recover ``f^(k)`` (the ``k!`` conversion lives
-there and nowhere else).
+A :class:`Jet` is nothing but its array of *Taylor coefficients*
+``coeffs[k] = f^(k)(z0) / k!`` rather than raw derivatives, so the
+arithmetic recurrences stay overflow-free; use :meth:`Jet.derivative` to
+recover ``f^(k)`` (the ``k!`` conversion lives there and nowhere else).
+Jets combine through :func:`jet_add`, :func:`jet_sub`, :func:`jet_mul`,
+:func:`jet_div`, :func:`jet_exp` and :func:`jet_pow`.
 
 Coefficient arrays may carry an arbitrary trailing shape, so one call can
 evaluate jets on a whole grid of base points at once.
+
+Text is read by a regular-expression tokenizer and a recursive-descent
+parser; one table of the four binary operators serves the parser, the
+printer, direct evaluation and constant folding.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 
 import numpy as np
 
@@ -137,14 +144,8 @@ class AnalyticExpr:
             return np.broadcast_to(np.complex128(self.value), z.shape)
         if kind == "z":
             return z
-        if kind == "add":
-            return self.args[0]._eval(z) + self.args[1]._eval(z)
-        if kind == "sub":
-            return self.args[0]._eval(z) - self.args[1]._eval(z)
-        if kind == "mul":
-            return self.args[0]._eval(z) * self.args[1]._eval(z)
-        if kind == "div":
-            return self.args[0]._eval(z) / self.args[1]._eval(z)
+        if kind in _ARITHMETIC:
+            return _ARITHMETIC[kind](self.args[0]._eval(z), self.args[1]._eval(z))
         if kind == "neg":
             return -self.args[0]._eval(z)
         if kind == "pow":
@@ -186,7 +187,9 @@ def exp(e) -> AnalyticExpr:
     return AnalyticExpr("exp", args=(AnalyticExpr._wrap(e),))
 
 
+# The binary operators by node kind: their function and their symbol in the grammar.
 _ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
 def _fold(kind: str, a: AnalyticExpr, b: AnalyticExpr) -> AnalyticExpr:
@@ -224,14 +227,8 @@ def _format_expr(e: AnalyticExpr) -> str:
         return f"({re_!r}{sign}{abs(im_)!r}i)"
     if k == "z":
         return "z"
-    if k == "add":
-        return f"({_format_expr(e.args[0])} + {_format_expr(e.args[1])})"
-    if k == "sub":
-        return f"({_format_expr(e.args[0])} - {_format_expr(e.args[1])})"
-    if k == "mul":
-        return f"({_format_expr(e.args[0])} * {_format_expr(e.args[1])})"
-    if k == "div":
-        return f"({_format_expr(e.args[0])} / {_format_expr(e.args[1])})"
+    if k in _SYMBOL:
+        return f"({_format_expr(e.args[0])} {_SYMBOL[k]} {_format_expr(e.args[1])})"
     if k == "neg":
         return f"(-{_format_expr(e.args[0])})"
     if k == "pow":
@@ -246,61 +243,51 @@ def _format_expr(e: AnalyticExpr) -> str:
 # ---------------------------------------------------------------------------
 #   expr   := term (('+'|'-') term)*
 #   term   := unary (('*'|'/') unary)*
-#   unary  := '-' unary | postfix
+#   unary  := ('-'|'+') unary | postfix
 #   postfix:= atom ('^' int)?          (int optionally signed/parenthesized)
 #   atom   := NUMBER['i'] | 'i' | 'z' | 'exp' '(' expr ')' | '(' expr ')'
+#
+# A NUMBER is digits and dots, starting with a digit or a dot and a digit,
+# with an optional exponent; float() judges it.  A name is a letter and then
+# letters or digits.  Whitespace separates tokens; any other character is
+# refused.
+
+_TOKEN = re.compile(
+    r"(?P<num>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?i?)|(?P<name>[^\W\d_][^\W_]*)|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)",
+    re.DOTALL,
+)
+
 
 class _Tokens:
+    """The tokens of a text, ending in ("end", None): ("num", complex),
+    ("name", str) and (op, None) for each op of ``+-*/^()``."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.toks: list[tuple[str, object]] = []
-        self._scan()
+        self.toks = []
+        for m in _TOKEN.finditer(text):
+            kind, s = m.lastgroup, m.group()
+            if kind == "num":
+                try:
+                    val = float(s.rstrip("i"))
+                except ValueError as exc:
+                    raise ExpressionParseError(f"bad number at position {m.start()}: {s!r}") from exc
+                self.toks.append(("num", complex(0.0, val) if s[-1] == "i" else complex(val, 0.0)))
+            elif kind == "bad":
+                raise ExpressionParseError(f"unexpected character {s!r} at position {m.start()}")
+            elif kind != "space":
+                self.toks.append((s, None) if kind == "op" else (kind, s))
+        self.toks.append(("end", None))
         self.idx = 0
 
-    def _scan(self):
-        s, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            c = s[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "+-*/^()":
-                self.toks.append((c, None))
-                i += 1
-                continue
-            if c.isdigit() or (c == "." and i + 1 < n and s[i + 1].isdigit()):
-                j = i
-                while j < n and (s[j].isdigit() or s[j] == "."):
-                    j += 1
-                if j < n and s[j] in "eE" and j + 1 < n and (s[j + 1].isdigit() or (s[j + 1] in "+-" and j + 2 < n and s[j + 2].isdigit())):
-                    j += 2
-                    while j < n and s[j].isdigit():
-                        j += 1
-                try:
-                    val = float(s[i:j])
-                except ValueError as exc:
-                    raise ExpressionParseError(f"bad number at position {i}: {s[i:j]!r}") from exc
-                if j < n and s[j] == "i":
-                    self.toks.append(("num", complex(0.0, val)))
-                    j += 1
-                else:
-                    self.toks.append(("num", complex(val, 0.0)))
-                i = j
-                continue
-            if c.isalpha():
-                j = i
-                while j < n and s[j].isalnum():
-                    j += 1
-                self.toks.append(("name", s[i:j]))
-                i = j
-                continue
-            raise ExpressionParseError(f"unexpected character {c!r} at position {i}")
-        self.toks.append(("end", None))
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.toks[self.idx][0]
 
-    def peek(self):
-        return self.toks[self.idx]
+    def accept(self, kind: str) -> bool:
+        """Take the next token if it is of ``kind``."""
+        taken = self.peek() == kind
+        self.idx += taken
+        return taken
 
     def next(self):
         tok = self.toks[self.idx]
@@ -308,10 +295,9 @@ class _Tokens:
         return tok
 
     def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ExpressionParseError(f"expected {kind!r}, got {tok[0]!r}")
-        return tok
+        got = self.next()[0]
+        if got != kind:
+            raise ExpressionParseError(f"expected {kind!r}, got {got!r}")
 
 
 def parse_expression(text: str) -> AnalyticExpr:
@@ -320,29 +306,26 @@ def parse_expression(text: str) -> AnalyticExpr:
     A tree deeper than :data:`MAX_EXPR_DEPTH` is refused.
     """
     toks = _Tokens(text)
-    e = _parse_sum(toks, 0)
-    if toks.peek()[0] != "end":
-        raise ExpressionParseError(f"trailing input near token {toks.peek()[0]!r}")
+    e = _parse_binary(toks, 0)
+    if toks.peek() != "end":
+        raise ExpressionParseError(f"trailing input near token {toks.peek()!r}")
     if e.depth > MAX_EXPR_DEPTH:  # a long chain of + or * is as deep as it is long
         raise ExpressionParseError(f"expression deeper than {MAX_EXPR_DEPTH} levels")
     return e
 
 
-def _parse_sum(toks: _Tokens, nesting: int) -> AnalyticExpr:
-    e = _parse_term(toks, nesting)
-    while toks.peek()[0] in "+-":
-        op = toks.next()[0]
-        rhs = _parse_term(toks, nesting)
-        e = e + rhs if op == "+" else e - rhs
-    return e
+_LEVELS = ("+-", "*/")  # the operator symbols of expr and of term
+_KIND = {symbol: kind for kind, symbol in _SYMBOL.items()}
 
 
-def _parse_term(toks: _Tokens, nesting: int) -> AnalyticExpr:
-    e = _parse_unary(toks, nesting)
-    while toks.peek()[0] in "*/":
-        op = toks.next()[0]
-        rhs = _parse_unary(toks, nesting)
-        e = e * rhs if op == "*" else e / rhs
+def _parse_binary(toks: _Tokens, nesting: int, level: int = 0) -> AnalyticExpr:
+    """expr (level 0) or term (level 1): operands joined left to right."""
+    def operand():
+        return _parse_binary(toks, nesting, 1) if level == 0 else _parse_unary(toks, nesting)
+
+    e = operand()
+    while toks.peek() in _LEVELS[level]:
+        e = _fold(_KIND[toks.next()[0]], e, operand())
     return e
 
 
@@ -350,31 +333,17 @@ def _parse_unary(toks: _Tokens, nesting: int) -> AnalyticExpr:
     # brackets and signs may build no tree level; bound the parser's recursion
     if nesting > MAX_EXPR_DEPTH:
         raise ExpressionParseError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
-    if toks.peek()[0] == "-":
-        toks.next()
+    if toks.accept("-"):
         return -_parse_unary(toks, nesting + 1)
-    if toks.peek()[0] == "+":
-        toks.next()
+    if toks.accept("+"):
         return _parse_unary(toks, nesting + 1)
-    return _parse_postfix(toks, nesting)
-
-
-def _parse_postfix(toks: _Tokens, nesting: int) -> AnalyticExpr:
     e = _parse_atom(toks, nesting)
-    if toks.peek()[0] == "^":
-        toks.next()
-        e = e ** _parse_int_exponent(toks)
-    return e
+    return e ** _parse_int_exponent(toks) if toks.accept("^") else e
 
 
 def _parse_int_exponent(toks: _Tokens) -> int:
-    paren = toks.peek()[0] == "("
-    if paren:
-        toks.next()
-    sign = 1
-    if toks.peek()[0] == "-":
-        toks.next()
-        sign = -1
+    paren = toks.accept("(")
+    sign = -1 if toks.accept("-") else 1
     kind, val = toks.next()
     if kind != "num" or val.imag != 0 or val.real != int(val.real):
         raise ExpressionParseError("exponent must be an integer")
@@ -394,12 +363,12 @@ def _parse_atom(toks: _Tokens, nesting: int) -> AnalyticExpr:
             return AnalyticExpr("const", 1j)
         if val == "exp":
             toks.expect("(")
-            inner = _parse_sum(toks, nesting + 1)
+            inner = _parse_binary(toks, nesting + 1)
             toks.expect(")")
             return exp(inner)
         raise ExpressionParseError(f"unknown name {val!r}")
     if kind == "(":
-        inner = _parse_sum(toks, nesting + 1)
+        inner = _parse_binary(toks, nesting + 1)
         toks.expect(")")
         return inner
     raise ExpressionParseError(f"unexpected token {kind!r}")
@@ -410,17 +379,16 @@ def _parse_atom(toks: _Tokens, nesting: int) -> AnalyticExpr:
 # ---------------------------------------------------------------------------
 
 class Jet:
-    """Truncated Taylor series at a base point.
-
-    ``coeffs[k]`` is the k-th *Taylor coefficient* f^(k)(base)/k!.  The
-    leading axis of ``coeffs`` indexes the order; any trailing axes carry a
-    grid of base points evaluated simultaneously.
+    """Truncated Taylor series: ``coeffs[k]`` is the k-th *Taylor
+    coefficient* f^(k)(z0)/k! at the base point z0, which the jet does not
+    keep.  The leading axis of ``coeffs`` indexes the order; any trailing
+    axes carry a grid of base points evaluated simultaneously.  Jets have
+    no operators: combine them with :func:`jet_add` ... :func:`jet_pow`.
     """
 
-    __slots__ = ("base", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, base, coeffs):
-        self.base = base
+    def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=np.complex128)
         if self.coeffs.shape[0] < 1:
             raise ValueError("a jet needs at least its value")
@@ -431,78 +399,41 @@ class Jet:
 
     @property
     def value(self):
-        """f(base)."""
+        """f(z0)."""
         return self.coeffs[0]
 
     def derivative(self, k: int):
-        """f^(k)(base) = k! * coeffs[k] (the only place the k! lives)."""
+        """f^(k)(z0) = k! * coeffs[k] (the only place the k! lives)."""
         if k > self.order:
             raise OrderOverflow(f"jet of order {self.order} has no derivative {k}")
         return self.coeffs[k] * _FACTORIAL[k]
 
     def derivative_jet(self) -> "Jet":
-        """Jet of f' at the same base, one order lower."""
+        """Jet of f' at the same base point, one order lower."""
         if self.order < 1:
             raise OrderOverflow("need order >= 1 to differentiate a jet")
         k = np.arange(1, self.order + 1, dtype=np.float64)
-        return Jet(self.base, self.coeffs[1:] * k.reshape((-1,) + (1,) * (self.coeffs.ndim - 1)))
-
-    def __add__(self, other):
-        return jet_add(self, _as_jet(other, self))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return jet_sub(self, _as_jet(other, self))
-
-    def __rsub__(self, other):
-        return jet_sub(_as_jet(other, self), self)
-
-    def __mul__(self, other):
-        return jet_mul(self, _as_jet(other, self))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return jet_div(self, _as_jet(other, self))
-
-    def __rtruediv__(self, other):
-        return jet_div(_as_jet(other, self), self)
-
-    def __neg__(self):
-        return Jet(self.base, -self.coeffs)
+        return Jet(self.coeffs[1:] * k.reshape((-1,) + (1,) * (self.coeffs.ndim - 1)))
 
     def __repr__(self):
-        return f"Jet(base={self.base!r}, coeffs={self.coeffs!r})"
+        return f"Jet({self.coeffs!r})"
 
 
 _FACTORIAL = np.array([float(np.prod(np.arange(1, k + 1))) if k else 1.0 for k in range(_INTERNAL_ORDER_CAP + 1)])
 
 
-def _as_jet(x, like: Jet) -> Jet:
-    if isinstance(x, Jet):
-        return x
-    coeffs = np.zeros_like(like.coeffs)
-    coeffs[0] = complex(x)
-    return Jet(like.base, coeffs)
-
-
-def _common_order(a: Jet, b: Jet) -> int:
-    return min(a.order, b.order)
-
-
 def jet_add(a: Jet, b: Jet) -> Jet:
-    m = _common_order(a, b)
-    return Jet(a.base, a.coeffs[: m + 1] + b.coeffs[: m + 1])
+    m = min(a.order, b.order)
+    return Jet(a.coeffs[: m + 1] + b.coeffs[: m + 1])
 
 
 def jet_sub(a: Jet, b: Jet) -> Jet:
-    m = _common_order(a, b)
-    return Jet(a.base, a.coeffs[: m + 1] - b.coeffs[: m + 1])
+    m = min(a.order, b.order)
+    return Jet(a.coeffs[: m + 1] - b.coeffs[: m + 1])
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
-    m = _common_order(a, b)
+    m = min(a.order, b.order)
     ac, bc = a.coeffs, b.coeffs
     out = np.zeros((m + 1,) + np.broadcast_shapes(ac.shape[1:], bc.shape[1:]), dtype=np.complex128)
     for n in range(m + 1):
@@ -510,7 +441,7 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
         for j in range(1, n + 1):
             acc = acc + ac[j] * bc[n - j]
         out[n] = acc
-    return Jet(a.base, out)
+    return Jet(out)
 
 
 def jet_div(a: Jet, b: Jet) -> Jet:
@@ -524,13 +455,13 @@ def jet_div(a: Jet, b: Jet) -> Jet:
     denominator vanishes to every kept order, or faster than the numerator,
     the quotient is NaN at that point.
     """
-    return Jet(a.base, _quotient(a, b)[0])
+    return Jet(_quotient(a, b)[0])
 
 
 def _quotient(a: Jet, b: Jet):
     """(coeffs of a/b, mask of the points where more orders could help: those
     that lost orders and those where b showed no nonzero coefficient)."""
-    m = _common_order(a, b)
+    m = min(a.order, b.order)
     shape = np.broadcast_shapes(a.coeffs.shape[1:], b.coeffs.shape[1:])
     ac = np.broadcast_to(a.coeffs[: m + 1], (m + 1,) + shape)
     bc = np.broadcast_to(b.coeffs[: m + 1], (m + 1,) + shape)
@@ -584,14 +515,14 @@ def jet_exp(a: Jet) -> Jet:
         for k in range(1, n):
             acc = acc + k * ac[k] * out[n - k]
         out[n] = acc / n
-    return Jet(a.base, out)
+    return Jet(out)
 
 
 def jet_pow(a: Jet, n: int) -> Jet:
     if n == 0:
         coeffs = np.zeros_like(a.coeffs)
         coeffs[0] = 1.0
-        return Jet(a.base, coeffs)
+        return Jet(coeffs)
     if n < 0:
         return jet_div(jet_pow(a, 0), jet_pow(a, -n))
     result = None
@@ -650,7 +581,7 @@ def eval_jet(expr: AnalyticExpr, z, order: int) -> Jet:
     coeffs = coeffs.reshape((order + 1,) + zz.shape)
     if zz.ndim == 0 and np.isnan(coeffs[0]):
         raise PoleAtPoint(f"expression is singular at {complex(zz)}")
-    return Jet(zz, coeffs)
+    return Jet(coeffs)
 
 
 def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list) -> Jet:
@@ -662,53 +593,40 @@ def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list
     times c, e / c gives them over c, as :func:`jet_mul` and
     :func:`jet_div` of e with c's jet do on finite jets.  (numpy's fused
     complex product may round c * e and e * c apart in the last bit.)
-    A constant addend c takes one pass over e's coefficients: c + e and
-    e + c are e + 0.0, e - c is e - 0.0 and c - e is 0.0 - e, with c put
-    into row 0 alone.  These are the bits of :func:`jet_add` and
+    A constant addend c takes one pass over e's coefficients: c + e is
+    0.0 + e, e + c is e + 0.0, e - c is e - 0.0 and c - e is 0.0 - e, with c
+    put into row 0 alone.  These are the bits of :func:`jet_add` and
     :func:`jet_sub` against c's jet, signed zeros included.  A quotient by
     zero stays a pole at every point."""
     kind = expr.kind
-    if kind == "const":
+    if kind in ("const", "z"):
         coeffs = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
-        coeffs[0] = expr.value
-        return Jet(z, coeffs)
-    if kind == "z":
-        coeffs = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
-        coeffs[0] = z
-        if order >= 1:
+        coeffs[0] = expr.value if kind == "const" else z
+        if kind == "z" and order >= 1:
             coeffs[1] = 1.0
-        return Jet(z, coeffs)
-    if kind in ("add", "sub"):
+        return Jet(coeffs)
+    if kind in _ARITHMETIC:
         a, b = expr.args
-        sub = kind == "sub"
-        if b.kind == "const":
-            e = _eval_jet_tree(a, z, order, vanished).coeffs
-            coeffs = e - 0.0 if sub else e + 0.0
-            coeffs[0] = e[0] - b.value if sub else e[0] + b.value
-        elif a.kind == "const":
-            e = _eval_jet_tree(b, z, order, vanished).coeffs
-            coeffs = 0.0 - e if sub else e + 0.0
-            coeffs[0] = a.value - e[0] if sub else a.value + e[0]
-        else:
-            return (jet_sub if sub else jet_add)(_eval_jet_tree(a, z, order, vanished), _eval_jet_tree(b, z, order, vanished))
-        return Jet(z, coeffs)
-    if kind == "mul":
-        a, b = expr.args
-        if _is_scale(a):
+        op = _ARITHMETIC[kind]
+        if kind in ("add", "sub") and "const" in (a.kind, b.kind):
+            first = a.kind == "const"  # c + e or c - e
+            e = _eval_jet_tree(b if first else a, z, order, vanished).coeffs
+            coeffs = op(0.0, e) if first else op(e, 0.0)
+            coeffs[0] = op(a.value, e[0]) if first else op(e[0], b.value)
+            return Jet(coeffs)
+        if kind == "mul" and _is_scale(a):
             a, b = b, a
-        if _is_scale(b):
-            return Jet(z, _eval_jet_tree(a, z, order, vanished).coeffs * b.value)
-        return jet_mul(_eval_jet_tree(a, z, order, vanished), _eval_jet_tree(b, z, order, vanished))
-    if kind == "div":
-        a, b = expr.args
-        if _is_scale(b):
-            return Jet(z, _eval_jet_tree(a, z, order, vanished).coeffs / b.value)
-        coeffs, deepen = _quotient(_eval_jet_tree(a, z, order, vanished), _eval_jet_tree(b, z, order, vanished))
+        if kind in ("mul", "div") and _is_scale(b):
+            return Jet(op(_eval_jet_tree(a, z, order, vanished).coeffs, b.value))
+        ja, jb = _eval_jet_tree(a, z, order, vanished), _eval_jet_tree(b, z, order, vanished)
+        if kind != "div":
+            return {"add": jet_add, "sub": jet_sub, "mul": jet_mul}[kind](ja, jb)
+        coeffs, deepen = _quotient(ja, jb)
         if deepen.any():
             vanished.append(deepen)
-        return Jet(z, coeffs)
+        return Jet(coeffs)
     if kind == "neg":
-        return -_eval_jet_tree(expr.args[0], z, order, vanished)
+        return Jet(-_eval_jet_tree(expr.args[0], z, order, vanished).coeffs)
     if kind == "pow":
         return jet_pow(_eval_jet_tree(expr.args[0], z, order, vanished), expr.value)
     if kind == "exp":

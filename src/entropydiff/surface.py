@@ -92,9 +92,7 @@ def _integrate_polyline(f, path, tol: float):
     return values.sum(axis=1)
 
 
-def immersion_point(
-    data: WeierstrassData, p0: complex, p: complex, path=None, tol: float = SEGMENT_TOL
-) -> ImmersionPoint:
+def immersion_point(data: WeierstrassData, p0: complex, p: complex, path=None) -> ImmersionPoint:
     """x(p) - x(p0) = Re of the path integral of the Weierstrass forms."""
     if path is None:
         path = [p0, p]
@@ -102,11 +100,11 @@ def immersion_point(
         path = [complex(q) for q in path]
         if abs(path[0] - p0) > 1e-12 or abs(path[-1] - p) > 1e-12:
             raise ValueError("path must run from p0 to p")
-    total = _integrate_polyline(weierstrass_integrand(data), path, tol)
+    total = _integrate_polyline(weierstrass_integrand(data), path, SEGMENT_TOL)
     return ImmersionPoint(z=complex(p), x=np.real(total))
 
 
-def period_vector(data: WeierstrassData, cycle, tol: float = SEGMENT_TOL) -> np.ndarray:
+def period_vector(data: WeierstrassData, cycle) -> np.ndarray:
     """Real part of the Weierstrass integral around a closed polyline.
 
     On y-periodic data a polyline whose endpoints differ by a multiple of
@@ -122,7 +120,7 @@ def period_vector(data: WeierstrassData, cycle, tol: float = SEGMENT_TOL) -> np.
         closed = abs(d.real) < 1e-9 and abs(d.imag - k * data.periodic_y) < 1e-9
     if not closed:
         cycle = cycle + [cycle[0]]
-    total = _integrate_polyline(weierstrass_integrand(data), cycle, tol)
+    total = _integrate_polyline(weierstrass_integrand(data), cycle, SEGMENT_TOL)
     return np.real(total)
 
 
@@ -211,12 +209,7 @@ def _edges(f, za, zb, ja, jb, tol: float) -> np.ndarray:
     return out
 
 
-def sample_mesh(
-    data: WeierstrassData,
-    resolution,
-    domain: RectDomain | None = None,
-    tol: float = SEGMENT_TOL,
-) -> SurfaceMesh:
+def sample_mesh(data: WeierstrassData, resolution, domain: RectDomain | None = None) -> SurfaceMesh:
     """Sample the immersion on an nx-by-ny grid.
 
     Positions come from cumulative path integration: along x on the bottom
@@ -224,10 +217,10 @@ def sample_mesh(
     immaterial).  Each grid edge takes the two-point quintic Hermite rule
     on the integrand's jets from the one fields pass, with its distance
     from the cubic rule as its error estimate; an edge whose estimate is
-    not within ``tol``, or that touches a non-finite jet, is integrated
-    adaptively to the same ``tol``.  So every edge integral is within
-    ``tol`` by its estimate, and a position sums at most nx + ny - 2 of
-    them.  A node where the jets are not finite, such as a Gauss-map pole,
+    not within ``SEGMENT_TOL``, or that touches a non-finite jet, is
+    integrated adaptively to the same tolerance.  So every edge integral is
+    within ``SEGMENT_TOL`` by its estimate, and a position sums at most
+    nx + ny - 2 of them.  A node where the jets are not finite, such as a Gauss-map pole,
     is a node like any other: the fields pass recovers its fields, and its
     edges go to the adaptive engine, whose nodes never touch it.  A node
     where the recovered h/G or hG is still not finite is a pole of the
@@ -252,12 +245,12 @@ def sample_mesh(
     positions[0, 0] = 0.0
     # bottom row, left to right, then all columns bottom to top
     below = row_jets(0)
-    row = np.cumsum(_edges(f, zs[0, :-1], zs[0, 1:], below[..., :-1], below[..., 1:], tol), axis=1)
+    row = np.cumsum(_edges(f, zs[0, :-1], zs[0, 1:], below[..., :-1], below[..., 1:], SEGMENT_TOL), axis=1)
     positions[0, 1:] = np.real(row).T
     col_acc = positions[0].astype(np.complex128).T  # (3, nx)
     for j in range(1, ny):
         above = row_jets(j)
-        col_acc = col_acc + _edges(f, zs[j - 1], zs[j], below, above, tol)
+        col_acc = col_acc + _edges(f, zs[j - 1], zs[j], below, above, SEGMENT_TOL)
         positions[j] = np.real(col_acc).T
         below = above
 

@@ -524,9 +524,10 @@ def liouville_check(surface: str, grid: UniformGrid) -> Report:
 # Curvature decay diagnostic
 # ---------------------------------------------------------------------------
 
-def curvature_decay_profile(mesh: SurfaceMesh, center=(0.0, 0.0, 0.0), nradii: int = 16):
+def curvature_decay_profile(mesh: SurfaceMesh, center=(0.0, 0.0, 0.0)):
     """Empirical decay profile: (r, sup over |x-center| <= r of the
-    scale-invariant quantity |A(x)|^2 |x-center|^2).
+    scale-invariant quantity |A(x)|^2 |x-center|^2) at 16 radii r evenly
+    spaced up to the farthest finite node.
 
     Diagnostic only -- the constants of the curvature estimate are not
     computable from first principles, but bounded profiles (quadratic
@@ -541,7 +542,7 @@ def curvature_decay_profile(mesh: SurfaceMesh, center=(0.0, 0.0, 0.0), nradii: i
     weighted = a2 * dist**2
     rmax = float(dist.max())
     out = []
-    for r in np.linspace(rmax / nradii, rmax, nradii):
+    for r in np.linspace(rmax / 16, rmax, 16):
         inside = dist <= r
         sup = float(weighted[inside].max()) if inside.any() else 0.0
         out.append((float(r), sup))

@@ -272,11 +272,14 @@ class SurfaceFields:
     ``metric`` (the dict of :func:`metric_fields`), ``rho``, ``norms``
     (|T|, |T-hat|) and ``form_jets`` are derived on first access.
     Recovered nodes are filled in throughout, except in ``form_jets``.
+    A scalar z is the one-point array [z], whose fields have shape (1,):
+    numpy rounds 0-d complex arithmetic apart from the same operation
+    inside an array.  The field views give the shape of z.
     """
 
     def __init__(self, data: WeierstrassData, z):
         self._data = data
-        self.z = np.asarray(z, dtype=np.complex128)
+        self.z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
         self._jG, self._jh = _jets(data, self.z)
         self.G = self._jG.value
         q, self._r, self._p = _parts(self._jG, self._jh)
@@ -321,7 +324,7 @@ class SurfaceFields:
         r = self._r
         short = np.isfinite(r.value) & ~np.isfinite(r.coeffs).all(axis=0)
         if short.any():
-            r = Jet(r.base, r.coeffs.copy())
+            r = Jet(r.coeffs.copy())
             r.coeffs[:, short] = eval_jet(self._data.h / self._data.G, self.z[short], r.order).coeffs
         return r, self._p, self._jh
 
@@ -352,23 +355,23 @@ class SurfaceFields:
 # ---------------------------------------------------------------------------
 
 def metric_fields(data: WeierstrassData, z):
-    """lambda^2, K, u, |A|^2 at an array of points (NaN where singular)."""
-    return SurfaceFields(data, z).metric
+    """lambda^2, K, u, |A|^2 at the points z, in its shape (NaN where singular)."""
+    return {k: v.reshape(np.shape(z)) for k, v in SurfaceFields(data, z).metric.items()}
 
 
 def hopf_field(data: WeierstrassData, z):
-    """Hopf coefficient q = -h G'/G on an array of points."""
-    return SurfaceFields(data, z).q
+    """Hopf coefficient q = -h G'/G at the points z, in its shape."""
+    return SurfaceFields(data, z).q.reshape(np.shape(z))
 
 
 def entropy_field(data: WeierstrassData, z):
-    """Entropy coefficient rho on an array of points (non-finite at umbilics)."""
-    return SurfaceFields(data, z).rho
+    """Entropy coefficient rho at the points z, in its shape (non-finite at umbilics)."""
+    return SurfaceFields(data, z).rho.reshape(np.shape(z))
 
 
 def norm_fields(data: WeierstrassData, z):
-    """(|T|_g, |T-hat|_g) on an array of points."""
-    return SurfaceFields(data, z).norms
+    """(|T|_g, |T-hat|_g) at the points z, in its shape."""
+    return tuple(v.reshape(np.shape(z)) for v in SurfaceFields(data, z).norms)
 
 
 def _at_point(data: WeierstrassData, z) -> SurfaceFields:

@@ -396,9 +396,20 @@ def test_round_trip_recovers_entropy_coefficient():
         assert sol.wronskian_drift < 1e-10
 
 
+def test_reconstructed_rho_is_regular_at_the_zeros_of_the_spinors():
+    # rho = -1, phi = 0.3: w1 vanishes at log(cot 0.3) (a Gauss-map pole)
+    # and w2 at -log(cot 0.3) (G = 0)
+    rho = const(-1.0)
+    sys = HillSystem(rho, 0.0, canonical_state_phi_alpha(0.3, 1.0))
+    x = np.log(1.0 / np.tan(0.3))
+    sol = integrate_hill(sys, [0.0, x, -x])
+    assert abs(sol.states[1, 0, 0]) < 1e-12 and abs(sol.states[2, 0, 1]) < 1e-12
+    np.testing.assert_allclose(reconstructed_rho(sol.states[1:], rho, [x, -x]), -1.0, rtol=0, atol=1e-12)
+
 def test_rho_in_g_and_q_is_the_eight_term_formula():
-    # the identity behind hill.reconstructed_rho: under h = -q G/G' the eight
-    # terms equal 2 {G, z} - q''/q + (5/4)(q'/q)^2 for any G and q
+    # under h = -q G/G' the eight terms equal 2 {G, z} - q''/q + (5/4)(q'/q)^2
+    # for any G and q; with q constant, as for every Hill pair, this is the
+    # rho = 2 {G, z} of hill.reconstructed_rho
     sp = pytest.importorskip("sympy")
     z = sp.symbols("z")
     G, q = sp.Function("G")(z), sp.Function("q")(z)

@@ -15,6 +15,7 @@ from entropydiff.jets import (
     const,
     eval_jet,
     exp,
+    jet_add,
     jet_div,
     jet_exp,
     jet_mul,
@@ -179,9 +180,9 @@ def test_scalar_and_array_jets_agree_at_removable_points():
     a[0, 1] = b[0, 1] = 0.0
     a[:2, 3] = b[:2, 3] = 0.0
     a[0, 4] = b[0, 4] = complex(np.nan, 0.0)
-    grid = jet_div(Jet(0.0, a), Jet(0.0, b)).coeffs
+    grid = jet_div(Jet(a), Jet(b)).coeffs
     for k, lost in enumerate((0, 1, 0, 2, 1, 0)):
-        np.testing.assert_array_equal(grid[:, k], jet_div(Jet(0.0, a[:, k : k + 1]), Jet(0.0, b[:, k : k + 1])).coeffs[:, 0])
+        np.testing.assert_array_equal(grid[:, k], jet_div(Jet(a[:, k : k + 1]), Jet(b[:, k : k + 1])).coeffs[:, 0])
         assert np.all(np.isfinite(grid[: 4 - lost, k])) and np.all(np.isnan(grid[4 - lost :, k])), k
 
 
@@ -259,8 +260,8 @@ def test_jet_ring_axioms():
         a_bc = jet_mul(a, jet_mul(b, c)).coeffs
         np.testing.assert_allclose(ab_c, a_bc, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(jet_mul(a, b).coeffs, jet_mul(b, a).coeffs, rtol=1e-13, atol=1e-13)
-        lhs = jet_mul(a, b + c).coeffs
-        rhs = (jet_mul(a, b) + jet_mul(a, c)).coeffs
+        lhs = jet_mul(a, jet_add(b, c)).coeffs
+        rhs = jet_add(jet_mul(a, b), jet_mul(a, c)).coeffs
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -467,6 +468,41 @@ def test_parse_errors():
     for bad in ["z +", "exp(z", "2**z", "q", "z^i", "1..2"]:
         with pytest.raises(ExpressionParseError):
             parse_expression(bad)
+
+
+# the parser's tree (its str) or its refusal on edge cases of the grammar
+_PARSE_CORPUS = (
+    ("5.", "5.0"), (".5", "0.5"), ("1e-3i", "0.001i"), ("1..2", "refused"), ("2e+", "refused"), ("1e400", "inf"),
+    ("\u0663", "3.0"), ("1e3", "1000.0"), ("1E+3", "1000.0"), ("2.5e-2i", "0.025i"), ("00", "0.0"), ("3i", "3.0i"),
+    ("i", "1.0i"), ("1.2.3", "refused"), (".", "refused"), ("5.e2", "500.0"), ("1e", "refused"), ("1ei", "refused"),
+    ("1e2.5", "refused"), ("1e-400", "0.0"), ("1e309i", "infi"), ("\uff11", "1.0"), ("\u00b2", "refused"),
+    ("1\u00b2", "refused"), ("2e5z", "refused"), ("2ei", "refused"), ("1_000", "refused"),
+    ("0.1+0.2", "0.30000000000000004"), ("7/2", "3.5"), ("2iz", "refused"), ("pi", "refused"), ("zi", "refused"),
+    ("exp2", "refused"), ("Z", "refused"), ("exp", "refused"), ("exp z", "refused"), ("i z", "refused"),
+    ("zz", "refused"), ("z2", "refused"), ("expz", "refused"), ("\u00e9", "refused"), ("EXP(z)", "refused"),
+    ("exp()", "refused"), ("exp(z,z)", "refused"), ("inf", "refused"), ("nan", "refused"), ("z^+2", "refused"),
+    ("z**2", "refused"), ("2^3^2", "refused"), ("z^(3", "refused"), ("z^(-3)", "z^(-3)"), ("z^-3", "z^(-3)"),
+    ("z^2.0", "z^(2)"), ("z^2.5", "refused"), ("z^1e1", "z^(10)"), ("z^ 2", "z^(2)"), ("z^2i", "refused"),
+    ("z^0", "z^(0)"), ("z^(- 2)", "z^(-2)"), ("z^((2))", "refused"), ("exp(z)^2", "exp(z)^(2)"),
+    ("-z^2", "(-z^(2))"), ("z^-(2)", "refused"), ("(z)^2", "z^(2)"), ("--z", "(-(-z))"), ("-+-z", "(-(-z))"),
+    ("+z", "z"), ("z-", "refused"), ("*z", "refused"), ("z/0", "(z / 0.0)"), ("0/0", "(0.0 / 0.0)"),
+    ("1/0", "(1.0 / 0.0)"), ("z*0", "0.0"), ("0*exp(z)", "0.0"), ("1*z", "z"), ("z+0", "z"), ("0-z", "(0.0 - z)"),
+    ("2*3-1", "5.0"), ("(1+2i)*z^2 - 0.5i", "(((1.0+2.0i) * z^(2)) - 0.5i)"),
+    ("exp(-z) + z^(-2)", "(exp((-z)) + z^(-2))"),
+    ("(0.5 - exp(z)) / (1 - 0.5*exp(z))", "((0.5 - exp(z)) / (1.0 - (0.5 * exp(z))))"),
+    ("z*z/z-z+z", "((((z * z) / z) - z) + z)"), ("", "refused"), (" ", "refused"), ("\tz\t+\t1", "(z + 1.0)"),
+    ("z\n", "z"), ("z +", "refused"), ("()", "refused"), ("(z))", "refused"), ("z z", "refused"), ("2z", "refused"),
+    ("z#", "refused"), ("z$", "refused"), ("1,5", "refused"),
+)
+
+
+def test_parse_corpus():
+    for text, want in _PARSE_CORPUS:
+        try:
+            got = str(parse_expression(text))
+        except ExpressionParseError:
+            got = "refused"
+        assert got == want, text
 
 
 def test_parse_refuses_what_is_deeper_than_the_limit():

@@ -315,3 +315,21 @@ def test_samples_at_a_gauss_map_pole_equal_the_fields():
     assert abs(sample.K - -0.82270247) < 1e-8
     assert abs(hopf_coefficient(data, z) + 1.0) < 1e-9
     assert abs(entropy_coefficient(data, z) + 1.0) < 1e-9
+
+
+def test_scalar_fields_equal_the_array_fields_bit_for_bit():
+    # a scalar z is evaluated as the one-point array [z]: numpy rounds 0-d
+    # complex arithmetic apart from the same operation inside an array
+    rng = np.random.default_rng(0)
+    zs = rng.uniform(-1.0, 1.0, 200) + 1j * rng.uniform(0.0, 6.0, 200)
+    data = deformed_catenoid(0.3161).data
+    grid = SurfaceFields(data, zs)
+    want = np.stack([grid.q, grid.rho, grid.metric["K"], *grid.norms])
+    got = []
+    for z in zs:
+        fields = (hopf_field(data, z), entropy_field(data, z), metric_fields(data, z)["K"], *norm_fields(data, z))
+        assert all(np.shape(v) == () for v in fields)
+        got.append(fields)
+        f = SurfaceFields(data, z)
+        np.testing.assert_array_equal([f.q, f.rho, f.metric["K"], *f.norms], np.array(fields)[:, None])
+    np.testing.assert_array_equal(np.array(got).T, want)
