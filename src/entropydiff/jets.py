@@ -248,9 +248,9 @@ def _format_expr(e: AnalyticExpr) -> str:
 #   atom   := NUMBER['i'] | 'i' | 'z' | 'exp' '(' expr ')' | '(' expr ')'
 #
 # A NUMBER is digits and dots, starting with a digit or a dot and a digit,
-# with an optional exponent; float() judges it.  A name is a letter and then
-# letters or digits.  Whitespace separates tokens; any other character is
-# refused.
+# with an optional exponent; float() judges it, and one it takes to inf is
+# refused.  A name is a letter and then letters or digits.  Whitespace
+# separates tokens; any other character is refused.
 
 _TOKEN = re.compile(
     r"(?P<num>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?i?)|(?P<name>[^\W\d_][^\W_]*)|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)",
@@ -271,6 +271,8 @@ class _Tokens:
                     val = float(s.rstrip("i"))
                 except ValueError as exc:
                     raise ExpressionParseError(f"bad number at position {m.start()}: {s!r}") from exc
+                if np.isinf(val):
+                    raise ExpressionParseError(f"number out of range at position {m.start()}: {s!r}")
                 self.toks.append(("num", complex(0.0, val) if s[-1] == "i" else complex(val, 0.0)))
             elif kind == "bad":
                 raise ExpressionParseError(f"unexpected character {s!r} at position {m.start()}")

@@ -287,17 +287,17 @@ def spinor_mesh(grid: UniformGrid, fields: dict, rho: AnalyticExpr) -> SurfaceMe
 
 def write_obj(mesh: SurfaceMesh, path: str):
     """ASCII OBJ with positions and unit normals (``%.9g``) and triangulated
-    faces, one ``%`` call per 8192 lines so the text in memory stays small."""
+    faces, one ``%`` call per 8192 lines (faces 1-based, vertex//normal, by block) so memory stays small."""
     ny, nx = mesh.zs.shape
     blocks = (
-        ("v %.9g %.9g %.9g\n", mesh.positions.reshape(-1, 3)),
-        ("vn %.9g %.9g %.9g\n", mesh.normals.reshape(-1, 3)),
-        ("f %d//%d %d//%d %d//%d\n", np.repeat(mesh.faces + 1, 2, axis=1)),
+        ("v %.9g %.9g %.9g\n", mesh.positions.reshape(-1, 3), np.asarray),
+        ("vn %.9g %.9g %.9g\n", mesh.normals.reshape(-1, 3), np.asarray),
+        ("f %d//%d %d//%d %d//%d\n", mesh.faces, lambda f: np.repeat(f + 1, 2, axis=1)),
     )
     with open(path, "w") as fh:
         fh.write(f"# entropydiff surface mesh {nx}x{ny}\n")
-        for line, rows in blocks:
-            for block in (rows[i : i + 8192] for i in range(0, len(rows), 8192)):
+        for line, rows, values in blocks:
+            for block in (values(rows[i : i + 8192]) for i in range(0, len(rows), 8192)):
                 fh.write(line * len(block) % tuple(block.reshape(-1).tolist()))
 
 

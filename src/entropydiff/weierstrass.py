@@ -12,7 +12,8 @@ and one jet of h (order 2):
 
 with rho the eight-term rational combination of G', G'', G''', h', h''.
 :class:`SurfaceFields` takes both jets once per point set; rho and the
-norms |T|, |T-hat| are derived only when read.
+norms |T|, |T-hat| are derived only when read.  Its pointwise stages run
+on blocks of _BLOCK points; the masks and the recovery see the whole set.
 
 Removable singularities of the displayed quotients (e.g. G and h vanishing
 together) are absorbed by jet cancellation, but the eight terms of rho
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -81,6 +82,7 @@ _THETA = 2.0 * np.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
 _NEGATIVE_MODES = np.exp(1j * np.outer(_THETA, np.arange(1, _CIRCLE_POINTS // 2))) / _CIRCLE_POINTS
 _ALIAS_RTOL = 1e-3
 _ROUNDING_RTOL = 1e-12
+_BLOCK = 8192  # points a block of a pointwise stage holds; circle means take _BLOCK // _CIRCLE_POINTS circles
 
 
 @dataclass
@@ -205,9 +207,44 @@ def _rho_terms(G, G1, G2, G3, h, h1, h2):
 # The field bundle
 # ---------------------------------------------------------------------------
 
+def _by_blocks(stage, size: int, *args):
+    """``stage(*args)`` on blocks of at most ``size`` points (the last axis of
+    every array in the trees of :func:`_map` it takes and gives), written
+    into whole-set arrays; a set that fits one block is one stage call."""
+    n = _leaves(args[0])[0].shape[-1]
+    if n <= size:
+        return stage(*args)
+    for i in range(0, n, size):
+        block = stage(*_map(lambda a: a[..., i : i + size], args))
+        if not i:
+            out = _map(lambda b: np.empty(b.shape[:-1] + (n,), b.dtype), block)
+        for whole, part in zip(_leaves(out), _leaves(block)):
+            whole[..., i : i + size] = part
+    return out
+
+
+def _map(f, tree):
+    """``f`` over the arrays of a tree of arrays, Jets, tuples and dicts."""
+    if isinstance(tree, Jet):
+        return Jet(f(tree.coeffs))
+    if isinstance(tree, np.ndarray):
+        return f(tree)
+    if isinstance(tree, dict):
+        return {k: _map(f, v) for k, v in tree.items()}
+    return tuple(_map(f, v) for v in tree)
+
+
+def _leaves(tree) -> list:
+    """The arrays of a tree, in the order of :func:`_map`."""
+    if isinstance(tree, (Jet, np.ndarray)):
+        return [tree.coeffs if isinstance(tree, Jet) else tree]
+    return [a for v in (tree.values() if isinstance(tree, dict) else tree) for a in _leaves(v)]
+
+
 def _jets(data: WeierstrassData, z):
-    """The one jet pass: G to order 3 and h to order 2 (all rho needs)."""
-    return eval_jet(data.G, z, 3), eval_jet(data.h, z, 2)
+    """The one jet pass, G to order 3 and h to order 2 (all rho needs), and its :func:`_parts`."""
+    jG, jh = eval_jet(data.G, z, 3), eval_jet(data.h, z, 2)
+    return (jG, jh, *_parts(jG, jh))
 
 
 def _parts(jG, jh):
@@ -251,8 +288,7 @@ def _circle_means(data: WeierstrassData, centers: np.ndarray) -> np.ndarray:
     of rho's eight terms is allowed for, so rho = 0 (Enneper) keeps its mean.
     """
     pts = centers[:, None] + _CIRCLE_RADIUS * np.exp(1j * _THETA)
-    jG, jh = _jets(data, pts)
-    q, r, p = _parts(jG, jh)
+    jG, jh, q, r, p = _jets(data, pts)
     r, p = r.value, p.value
     rho, largest = _rho_and_scale(jG, jh)
     with np.errstate(all="ignore"):
@@ -274,16 +310,15 @@ class SurfaceFields:
     Recovered nodes are filled in throughout, except in ``form_jets``.
     A scalar z is the one-point array [z], whose fields have shape (1,):
     numpy rounds 0-d complex arithmetic apart from the same operation
-    inside an array.  The field views give the shape of z.
+    inside an array.  Fields have the shape of z; its points are one flat array inside.
     """
 
     def __init__(self, data: WeierstrassData, z):
         self._data = data
         self.z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        self._jG, self._jh = _jets(data, self.z)
-        self.G = self._jG.value
-        q, self._r, self._p = _parts(self._jG, self._jh)
-        self._direct = q, r, p = q, self._r.value, self._p.value
+        self._jG, self._jh, q, self._r, self._p = _by_blocks(partial(_jets, data), _BLOCK, self.z.reshape(-1))
+        self.G = self._jG.value.reshape(self.z.shape)
+        self._direct = q, r, p = tuple(v.reshape(self.z.shape) for v in (q, self._r.value, self._p.value))
         self._singular = ~(np.isfinite(q) & np.isfinite(r) & np.isfinite(p))
         qscale = max(float(np.abs(q[~self._singular]).max(initial=0.0)), 1.0)
         self._umbilic = ~self._singular & (np.abs(q) <= _UMBILIC_RTOL * qscale)
@@ -295,12 +330,14 @@ class SurfaceFields:
         pass.  Circled are the singular nodes, those where the eight terms of
         rho cancel, and the umbilics, where |T-hat| extends continuously."""
         q, r, p = self._direct
-        rho, largest = _rho_and_scale(self._jG, self._jh)
+        rho, largest = (v.reshape(self.z.shape) for v in _by_blocks(_rho_and_scale, _BLOCK, self._jG, self._jh))
         with np.errstate(all="ignore"):
             curvature = 4.0 * np.abs(q) ** 2 / (np.abs(r) + np.abs(p)) ** 2  # |K| lambda^2
             cancels = ~(largest <= _CANCEL_RATIO * np.maximum(np.abs(rho), curvature))
         circled = self._singular | cancels | self._umbilic
-        return rho, circled, (_circle_means(self._data, self.z[circled]) if circled.any() else None)
+        size = max(_BLOCK // _CIRCLE_POINTS, 1)
+        means = _by_blocks(partial(_circle_means, self._data), size, self.z[circled]) if circled.any() else None
+        return rho, circled, means
 
     def _recover(self, part: int, direct, nodes) -> np.ndarray:
         """A copy of ``direct`` with circle mean ``part`` at the circled
@@ -325,8 +362,8 @@ class SurfaceFields:
         short = np.isfinite(r.value) & ~np.isfinite(r.coeffs).all(axis=0)
         if short.any():
             r = Jet(r.coeffs.copy())
-            r.coeffs[:, short] = eval_jet(self._data.h / self._data.G, self.z[short], r.order).coeffs
-        return r, self._p, self._jh
+            r.coeffs[:, short] = eval_jet(self._data.h / self._data.G, self.z.reshape(-1)[short], r.order).coeffs
+        return tuple(Jet(j.coeffs.reshape((-1,) + self.z.shape)) for j in (r, self._p, self._jh))
 
     @cached_property
     def metric(self) -> dict:
@@ -351,17 +388,19 @@ class SurfaceFields:
 
 
 # ---------------------------------------------------------------------------
-# Field views and single-point samples
+# Field views (the metric and q, which read no mask, by one bundle per block)
+# and single-point samples
 # ---------------------------------------------------------------------------
 
 def metric_fields(data: WeierstrassData, z):
     """lambda^2, K, u, |A|^2 at the points z, in its shape (NaN where singular)."""
-    return {k: v.reshape(np.shape(z)) for k, v in SurfaceFields(data, z).metric.items()}
+    metric = _by_blocks(lambda b: SurfaceFields(data, b).metric, _BLOCK, np.ravel(z))
+    return {k: v.reshape(np.shape(z)) for k, v in metric.items()}
 
 
 def hopf_field(data: WeierstrassData, z):
     """Hopf coefficient q = -h G'/G at the points z, in its shape."""
-    return SurfaceFields(data, z).q.reshape(np.shape(z))
+    return _by_blocks(lambda b: SurfaceFields(data, b).q, _BLOCK, np.ravel(z)).reshape(np.shape(z))
 
 
 def entropy_field(data: WeierstrassData, z):
@@ -443,10 +482,14 @@ def schwarzian(G: AnalyticExpr, z) -> complex:
     coefficient is constant.  Vectorizes over ``z``; each point is judged
     by its own jet c: where |c1| <= 1e-14 max(1, max_k |c_k|), G' vanishes
     and so the Schwarzian has a pole, NaN in an array, CriticalPoint for a scalar.
+    A scalar z is the one-point array [z] (the array's bits); a pole of G raises PoleAtPoint.
     """
-    c = eval_jet(G, z, 3).coeffs
+    scalar = np.ndim(z) == 0
+    c = eval_jet(G, np.atleast_1d(z), 3).coeffs
     critical = np.abs(c[1]) <= 1e-14 * np.maximum(np.abs(c).max(axis=0), 1.0)
-    if np.ndim(z) == 0 and critical:
+    if scalar and np.isnan(c[0, 0]):
+        raise PoleAtPoint(f"expression is singular at {complex(z)}")
+    if scalar and critical[0]:
         raise CriticalPoint(f"G' vanishes at {z}: the Schwarzian has a pole")
     out = np.where(critical, np.nan, taylor_schwarzian(c))
-    return complex(out) if np.ndim(z) == 0 else out
+    return complex(out[0]) if scalar else out

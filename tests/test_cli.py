@@ -491,6 +491,14 @@ def test_analyze_with_no_finite_curvature_is_a_numeric_failure(tmp_path):
     assert doc["error"]["code"] == "degenerate-point"
 
 
+@pytest.mark.parametrize("G", ["1e400*z", "z + 1e309i"])
+def test_a_literal_that_overflows_a_float_is_bad_input(tmp_path, G):
+    code, doc = _run(tmp_path, "analyze", "--G", G, "--h", "1", "--domain=-1,1,-1,1", "--grid", "8x8")
+    assert code == 1
+    assert doc["error"]["code"] == "bad-input"
+    assert "out of range" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("module", ["scipy", "numpy.polynomial"])
 def test_cli_import_leaves_scipy_out(module):
     # numpy.polynomial builds the Gauss-Legendre rule, on first use only

@@ -472,10 +472,10 @@ def test_parse_errors():
 
 # the parser's tree (its str) or its refusal on edge cases of the grammar
 _PARSE_CORPUS = (
-    ("5.", "5.0"), (".5", "0.5"), ("1e-3i", "0.001i"), ("1..2", "refused"), ("2e+", "refused"), ("1e400", "inf"),
+    ("5.", "5.0"), (".5", "0.5"), ("1e-3i", "0.001i"), ("1..2", "refused"), ("2e+", "refused"), ("1e400", "refused"),
     ("\u0663", "3.0"), ("1e3", "1000.0"), ("1E+3", "1000.0"), ("2.5e-2i", "0.025i"), ("00", "0.0"), ("3i", "3.0i"),
     ("i", "1.0i"), ("1.2.3", "refused"), (".", "refused"), ("5.e2", "500.0"), ("1e", "refused"), ("1ei", "refused"),
-    ("1e2.5", "refused"), ("1e-400", "0.0"), ("1e309i", "infi"), ("\uff11", "1.0"), ("\u00b2", "refused"),
+    ("1e2.5", "refused"), ("1e-400", "0.0"), ("1e309i", "refused"), ("\uff11", "1.0"), ("\u00b2", "refused"),
     ("1\u00b2", "refused"), ("2e5z", "refused"), ("2ei", "refused"), ("1_000", "refused"),
     ("0.1+0.2", "0.30000000000000004"), ("7/2", "3.5"), ("2iz", "refused"), ("pi", "refused"), ("zi", "refused"),
     ("exp2", "refused"), ("Z", "refused"), ("exp", "refused"), ("exp z", "refused"), ("i z", "refused"),

@@ -1,5 +1,7 @@
 """Weierstrass-data geometry tests (metric, curvature, Hopf, entropy)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -333,3 +335,80 @@ def test_scalar_fields_equal_the_array_fields_bit_for_bit():
         f = SurfaceFields(data, z)
         np.testing.assert_array_equal([f.q, f.rho, f.metric["K"], *f.norms], np.array(fields)[:, None])
     np.testing.assert_array_equal(np.array(got).T, want)
+
+
+def test_scalar_schwarzian_equals_the_array_bit_for_bit():
+    # a scalar z is evaluated as the one-point array [z], as the fields are
+    rng = np.random.default_rng(0)
+    zs = rng.uniform(-1.0, 1.0, 200) + 1j * rng.uniform(0.0, 6.0, 200)
+    G = deformed_catenoid(0.3161).data.G
+    np.testing.assert_array_equal([schwarzian(G, z) for z in zs], schwarzian(G, zs))
+    # the Gauss-map pole of C_t: NaN in an array, PoleAtPoint for a scalar
+    pole = -np.log(0.4)
+    assert np.isnan(schwarzian(deformed_catenoid(0.4).data.G, [pole])[0])
+    with pytest.raises(PoleAtPoint):
+        schwarzian(deformed_catenoid(0.4).data.G, pole)
+
+
+def _bits(a):
+    """The shape and bytes of a field, with every NaN made one NaN."""
+    v = np.array(a, dtype=np.complex128).view(np.float64)
+    return np.shape(a), np.where(np.isnan(v), np.nan, v).tobytes()
+
+
+def _block_cases() -> dict:
+    """Point sets with circled nodes: a node on the Gauss-map pole z = -log t
+    of C_t, the umbilic z = 0 of G = exp(z^2), and a far strip of C_0.4."""
+    t, steps = 0.3161, np.arange(-6, 7)
+    return {
+        "Gauss-map pole": (deformed_catenoid(t).data, -np.log(t) + 0.1 * steps[None, :] + 0.4j * steps[:, None]),
+        "umbilic": (WeierstrassData(exp(Z**2), const(1.0), RectDomain.square(1.0)), 0.25 * (steps[None, :] + 1j * steps[:, None])),
+        "far strip": (deformed_catenoid(0.4).data, RectDomain(35, 45, 0, 6.28).grid(32, 32).zs),
+    }
+
+
+@pytest.mark.parametrize("case", list(_block_cases()))
+def test_blocks_give_the_whole_set_fields_bit_for_bit(monkeypatch, case):
+    data, zs = _block_cases()[case]
+
+    def every_field(f):
+        return [f.G, f.q, f.h_over_G, f.hG, *f.metric.values(), f.rho, *f.norms, *(j.coeffs for j in f.form_jets)]
+
+    monkeypatch.setattr("entropydiff.weierstrass._BLOCK", zs.size)  # one block: the whole set at once
+    whole = SurfaceFields(data, zs)
+    assert whole._fallback[1].any(), "the case needs circled nodes"
+    want = [_bits(v) for v in every_field(whole)]
+    monkeypatch.setattr("entropydiff.weierstrass._BLOCK", 7)  # 7 points a block, one circle a block
+    blocked = SurfaceFields(data, zs)
+    assert [_bits(v) for v in every_field(blocked)] == want
+    metric = metric_fields(data, zs)
+    assert list(metric) == list(whole.metric)
+    assert [_bits(v) for v in metric.values()] == [_bits(v) for v in whole.metric.values()]
+    assert _bits(hopf_field(data, zs)) == _bits(whole.q)
+
+
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_metric_view_holds_one_block_of_jets():
+    # the whole 401^2 pass took 51.8 MB at once
+    data = deformed_catenoid(0.0).data
+    zs = data.domain.grid(401, 401).zs
+    assert _traced_peak_mb(lambda: metric_fields(data, zs)) < 20.0
+
+
+def test_a_far_strip_bundle_holds_one_block_of_temporaries():
+    # 15173 of the 65536 nodes are circled; the whole-set stages took 149 MB
+    data, zs = deformed_catenoid(0.4).data, RectDomain(35, 45, 0, 6.28).grid(256, 256).zs
+
+    def read_every_field():
+        f = SurfaceFields(data, zs)
+        f.metric, f.rho, f.norms, f.form_jets
+
+    assert _traced_peak_mb(read_every_field) < 40.0
