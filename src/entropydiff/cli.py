@@ -53,11 +53,14 @@ def dumps_json(obj, indent: int = 0) -> str:
     """JSON with 17-significant-digit floats and insertion-ordered keys; a
     list over 100 characters prints one element per line, and non-finite
     elements of an ndarray print as null.  A dict is the join of
-    :func:`_pieces`; an ndarray with rows of 35 or more elements takes one
-    ``%`` call (:func:`_dumps_long_array`)."""
+    :func:`_pieces`; an ndarray with rows of 35 or more elements is written
+    by the vectorized kernel :func:`_g17.g17` (:func:`_dumps_long_array`).  A
+    numpy bool and a 0-d array take the rule of their Python scalar."""
     if isinstance(obj, dict):
         return "".join(_pieces(obj, indent))
     pad = " " * indent
+    if isinstance(obj, np.ndarray) and not obj.ndim:
+        obj = obj.item()
     if isinstance(obj, (list, tuple, np.ndarray)):
         if isinstance(obj, np.ndarray):
             if obj.size and obj.shape[-1] >= 35:
@@ -69,7 +72,7 @@ def dumps_json(obj, indent: int = 0) -> str:
         if len(flat) <= 100:
             return "[" + flat + "]"
         return "[\n" + pad + "  " + (",\n" + pad + "  ").join(seq) + "\n" + pad + "]"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
         return "null"
@@ -89,15 +92,20 @@ def dumps_json(obj, indent: int = 0) -> str:
 def _dumps_long_array(arr: np.ndarray, pad: str) -> str:
     """n elements joined by ", " take at least 3n - 2 characters, so rows of
     35 or more are over 100 whatever their values: every level prints one
-    element per line, all at ``pad``, and one template covers the array.
-    Finite ``%.17g`` output has no nan or inf in it; those become null."""
-    template, line = "%.17g", ",\n" + pad + "  "
-    for n in reversed(arr.shape):
+    element per line, all at ``pad``.  :func:`_g17.g17` writes every
+    element, each followed by the line break; the rows are cut from its
+    text by the token lengths and fill one ``%s`` template of the outer
+    axes."""
+    from ._g17 import g17  # on first use: compiled with the CLI, it added 1 ms and 0.3 MB to every command
+
+    line = ",\n" + pad + "  "
+    text, lengths = g17(arr.astype(np.float64, casting="same_kind", copy=False).reshape(-1), line)
+    ends = np.cumsum(lengths + len(line))[arr.shape[-1] - 1 :: arr.shape[-1]].tolist()
+    rows = [text[start : end - len(line)] for start, end in zip([0] + ends, ends)]
+    template = "[\n" + pad + "  %s\n" + pad + "]"
+    for n in reversed(arr.shape[:-1]):
         template = "[\n" + pad + "  " + (template + line) * (n - 1) + template + "\n" + pad + "]"
-    text = template % tuple(arr.ravel().tolist())
-    if not np.isfinite(arr).all():
-        text = text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
-    return text
+    return template % tuple(rows)
 
 
 def _pieces(obj: dict, indent: int = 0):

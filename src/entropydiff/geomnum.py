@@ -247,7 +247,8 @@ def _adaptive(g, d: int, tol: float, max_panels: int, what: str):
     sum|children|).  Acceptance is local, so the panel tree does not depend
     on the order panels are evaluated in; the budget is checked before a
     level is evaluated, and a ``tol`` not above the rounding floor
-    8 eps max|first estimate| is refused after the first level.
+    8 eps max|first estimate| is refused after the first level.  A
+    non-finite value of ``g`` raises NoConvergence at once.
     Accepted values are summed level by level in panel order.  Returns
     (value, error, panels).
     """
@@ -260,6 +261,9 @@ def _adaptive(g, d: int, tol: float, max_panels: int, what: str):
         for i in range(0, len(corners), per_call):
             c = corners[i : i + per_call] + 0.5 * h
             v = g((c.T[:, :, None] + 0.5 * h * nodes[:, None, :]).reshape(d, -1))
+            finite = np.isfinite(v)
+            if not finite.all():  # a panel with such a value is never accepted, so refining it spends the budget
+                raise NoConvergence(f"{what}: the integrand is not finite at {np.count_nonzero(~finite)} of {v.size} nodes")
             out.append((0.5 * h) ** d * (v.reshape(v.shape[:-1] + (len(c), -1)) @ weights))
         return np.concatenate(out, axis=-1)
 
@@ -271,7 +275,7 @@ def _adaptive(g, d: int, tol: float, max_panels: int, what: str):
         panels += len(corners)
         if parent is None:
             parent = values(corners, h)
-            floor = 8.0 * np.finfo(float).eps * np.abs(np.where(np.isfinite(parent), parent, 0.0)).max()
+            floor = 8.0 * np.finfo(float).eps * np.abs(parent).max()
             if not tol > floor:
                 raise NoConvergence(f"{what}: tol = {tol:g} is not above the rounding floor {floor:.3g} of the integral")
         h *= 0.5

@@ -449,7 +449,8 @@ def weighted_entropy_norm(data: WeierstrassData, domain: RectDomain | None = Non
 
     def density(zs):
         f = SurfaceFields(data, zs)
-        return np.sqrt(np.maximum(f.norms[1], 0.0)) * f.metric["lambda_sq"]
+        with np.errstate(all="ignore"):  # an overflowed metric gives inf * 0 = NaN, which the quadrature refuses
+            return np.sqrt(np.maximum(f.norms[1], 0.0)) * f.metric["lambda_sq"]
 
     if domain is None and data.periodic_y is not None:
         y0 = data.domain.y0

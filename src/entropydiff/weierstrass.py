@@ -347,6 +347,7 @@ class SurfaceFields:
         if nodes.any():
             _, circled, means = self._fallback
             nodes = nodes & circled
+        if nodes.any():
             mean = means[part][nodes[circled]]
             old = out[nodes]
             out[nodes] = np.where(np.isfinite(mean), mean, np.where(np.isfinite(old), old, np.nan))

@@ -235,6 +235,16 @@ def test_norm_that_cannot_converge_ends_quickly(tmp_path, argv):
     assert (code == 0 and math.isfinite(doc["norm"])) or (code == 2 and doc["error"]["code"] == "no-convergence")
 
 
+@pytest.mark.parametrize("x_cut", ["700", "720", "1000"])
+def test_norm_where_the_catenoid_fields_overflow_is_a_quick_numeric_failure(tmp_path, capsys, x_cut):
+    # past |x| ~ 710 the density is inf * 0; its nodes used to raise a TypeError or refine to the budget
+    start = time.perf_counter()
+    code, doc = _run(tmp_path, "norm", "--surface", "catenoid", "--x-cut", x_cut)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and doc["error"]["code"] == "no-convergence"
+    assert capsys.readouterr().err == ""
+
+
 def test_a_metric_factor_that_overflows_on_the_path_is_a_numeric_failure(tmp_path):
     # the state at 0 is representable; w2 = z/(2 mu) is not squared twice
     code, doc = _run(tmp_path, "reconstruct", "--rho", "0", "--mu", "1e-78")
@@ -499,9 +509,10 @@ def test_a_literal_that_overflows_a_float_is_bad_input(tmp_path, G):
     assert "out of range" in doc["error"]["message"]
 
 
-@pytest.mark.parametrize("module", ["scipy", "numpy.polynomial"])
+@pytest.mark.parametrize("module", ["scipy", "numpy.polynomial", "fractions", "decimal", "entropydiff._g17"])
 def test_cli_import_leaves_scipy_out(module):
-    # numpy.polynomial builds the Gauss-Legendre rule, on first use only
+    # numpy.polynomial builds the Gauss-Legendre rule, on first use only; the
+    # %.17g kernel is imported on first use and builds its powers of ten from plain ints
     import subprocess
     import sys
     from pathlib import Path

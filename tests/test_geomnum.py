@@ -216,6 +216,19 @@ def test_budget_is_checked_before_a_level_is_evaluated():
     assert sum(sizes) <= (4 * 20 + 1) * 144
 
 
+@pytest.mark.parametrize("integrate", ["2d", "segment"])
+def test_a_non_finite_integrand_value_ends_the_quadrature_at_its_level(integrate):
+    # a panel with a NaN value is never accepted; refining it would only spend the budget
+    sizes = []
+    f = _counting(lambda z: np.where(np.real(z) > 0.9, np.nan, 1.0), sizes)
+    with pytest.raises(NoConvergence, match="not finite"):
+        if integrate == "2d":
+            integrate2d(f, RectDomain(0, 1, 0, 1))
+        else:
+            integrate_segment(f, 0.0, 1.0)
+    assert len(sizes) <= 2  # the root, then its children
+
+
 def test_sample_mesh_positions_match_per_edge_integrals():
     data = get_model("deformed-catenoid", t=0.35).data
     mesh = sample_mesh(data, (16, 16))

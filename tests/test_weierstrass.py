@@ -173,6 +173,14 @@ def test_both_samples_refuse_a_degenerate_metric():
         entropy_form_norms(data, 1.0)
 
 
+def test_norms_where_q2_rho_overflows_off_every_circle():
+    # at x = -359, q^2 rho is not finite but no node is circled: no circle means exist to read
+    f = SurfaceFields(catenoid_data(), np.array([-359.17 + 0.0036j, 0.3 + 0.2j]))
+    T, That = f.norms
+    assert np.isinf(T[0]) and not np.isfinite(That[0])
+    assert np.isfinite(T[1]) and np.isfinite(That[1])
+
+
 def test_entropy_form_norms_enneper_vanish():
     T, That = entropy_form_norms(enneper_data(), 1.0)
     assert T < 1e-12 and That < 1e-12

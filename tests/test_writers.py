@@ -1,17 +1,20 @@
-"""The writers that format many values per ``%`` call against the
-per-element writers they replaced.
+"""The writers that format many values per call against the per-element
+writers they replaced.
 
 The oracles below are the per-element ``dumps_json``, ``_float_grid``,
 ``write_obj`` and ``write_sidecar`` that formatted one Python value per
-call.  The writers must keep their bytes exactly.
+call.  The writers must keep their bytes exactly.  The vectorized ``%.17g``
+kernel of the report writer is held to ``format(x, ".17g")`` itself.
 """
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from entropydiff import _g17
 from entropydiff.cli import build_parser, cmd_analyze, dumps_json, main
 from entropydiff.geomnum import RectDomain
 from entropydiff.models import get_model
@@ -156,6 +159,91 @@ def test_dumps_json_scalars_keep_their_rule():
     assert '"inf", "-inf", null' in text
 
 
+def test_dumps_json_numpy_bools_and_0d_arrays_take_the_scalar_rules():
+    doc = {
+        "bools": [np.bool_(True), np.bool_(False), np.array(True)],
+        "0-d": [np.array(2.5), np.array(np.inf), np.array(np.nan), np.array(7), np.array(1.0 - 2.5j)],
+        "one": np.array(-0.0),
+    }
+    oracle = {"bools": [True, False, True], "0-d": [2.5, np.inf, np.nan, 7, 1.0 - 2.5j], "one": -0.0}
+    assert dumps_json(doc) == oracle_dumps_json(oracle)
+    assert dumps_json(np.bool_(True)) == "true" and dumps_json(np.array(0.1)) == "0.10000000000000001"
+    with pytest.raises(TypeError):  # as a short complex row does; the kernel takes real values only
+        dumps_json(np.ones((2, 40), dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# The %.17g kernel against format(x, ".17g"), byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _tokens(x: np.ndarray) -> list:
+    return [format(v, ".17g") if math.isfinite(v) else "null" for v in x.tolist()]
+
+
+def _powers_of_ten_and_their_neighbours() -> np.ndarray:
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])  # 10^k correctly rounded
+    near = np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)])
+    return np.concatenate([near, -near])
+
+
+KERNEL_CASES = {
+    # 8 x 2^17 uniform bit patterns: every exponent, NaNs and infinities among them
+    **{f"bits-{seed}": (lambda seed=seed: np.random.default_rng(seed).integers(0, 2**64, 1 << 17, dtype=np.uint64).view(np.float64)) for seed in range(8)},
+    "next to 10^k": _powers_of_ten_and_their_neighbours,
+    "2^k": lambda: np.ldexp(1.0, np.arange(-1074, 1024)),
+    # 1 + k 2^-17 has 18 significant digits, the last a 5: an exact tie at 17
+    "ties": lambda: 1.0 + np.arange(1, 1 << 17, 2) * 2.0**-17,
+    "special": lambda: np.array(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-270, 1e270,
+         np.nextafter(1e-270, 0.0), np.nextafter(1e270, np.inf), 1.7976931348623157e308, np.inf, -np.inf, np.nan,
+         1e16, 1e17, 9999999999999998.0, 99999999999999984.0, 1e-4, 1e-5, 0.5, 123.5, 100.0, 1.0 / 3.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_g17_kernel_matches_format_byte_for_byte(case):
+    x = KERNEL_CASES[case]()
+    sep = ",\n      "
+    text, lengths = _g17.g17(x, sep)
+    tokens = _tokens(x)
+    assert text == "".join(t + sep for t in tokens)
+    assert lengths.tolist() == [len(t) for t in tokens]
+
+
+def test_g17_kernel_writes_ordinary_values_itself_and_hands_ties_to_python(monkeypatch):
+    calls = []
+
+    def counting_format(v, spec):
+        calls.append(v)
+        return format(v, spec)
+
+    monkeypatch.setattr(_g17, "format", counting_format, raising=False)
+    rng = np.random.default_rng(5)
+    # below 2^50: between 2^50 and 2^53 a double with a fraction is often an exact 17-digit tie
+    ordinary = rng.normal(size=1 << 16) * 10.0 ** rng.integers(-30, 14, 1 << 16)
+    assert _g17.g17(ordinary, "")[0] == "".join(_tokens(ordinary))
+    assert len(calls) < 1e-3 * ordinary.size  # only values next to a power of ten
+    calls.clear()
+    ties = KERNEL_CASES["ties"]()
+    assert _g17.g17(ties, "")[0] == "".join(_tokens(ties))
+    assert len(calls) == ties.size
+
+
+def test_the_power_table_is_ten_to_the_k_in_double_double():
+    hi, top, bottom, lo = (v.tolist() for v in _g17._powers_of_ten())
+    for k, h, t, b, low in zip(_g17._POWERS, hi, top, bottom, lo):
+        exact = Fraction(10) ** k
+        assert abs(Fraction(h) + Fraction(low) - exact) <= exact / 2**105
+        assert t + b == h and _significant_bits(t) <= 26 and _significant_bits(b) <= 26  # Dekker's halves
+
+
+def _significant_bits(v: float) -> int:
+    m = abs(v.as_integer_ratio()[0])
+    return (m // (m & -m)).bit_length() if m else 0
+
+
 def _mesh(rng, ny, nx) -> SurfaceMesh:
     domain = RectDomain(0.0, 1.0, 0.0, 1.0)
     return SurfaceMesh(
@@ -190,7 +278,8 @@ def test_mesh_writers_match_the_per_element_oracles(tmp_path, ny, nx):
         ("--surface", "catenoid", "--grid", "8x8"),
         ("--surface", "deformed-catenoid", "--t", "0.4114", "--grid", "16x16"),
         ("--G", "z", "--h", "1", "--domain=-1,1,-1,1", "--grid", "9x9"),  # nulls, inline rows
-        ("--surface", "deformed-catenoid", "--t", "0.4114", "--grid", "40x9"),  # one % per field
+        ("--surface", "deformed-catenoid", "--t", "0.4114", "--grid", "40x9"),  # rows of 40: the kernel
+        ("--surface", "deformed-catenoid", "--t", "0.3161", "--grid", "256x256"),  # the bench's, 4 kernel blocks a field
     ],
 )
 def test_analyze_report_matches_the_oracle(tmp_path, argv):
