@@ -54,7 +54,7 @@ def dumps_json(obj, indent: int = 0) -> str:
     list over 100 characters prints one element per line, and non-finite
     elements of an ndarray print as null.  A dict is the join of
     :func:`_pieces`; an ndarray with rows of 35 or more elements is written
-    by the vectorized kernel :func:`_g17.g17` (:func:`_dumps_long_array`).  A
+    by the text module ``_text`` (:func:`_dumps_long_array`).  A
     numpy bool and a 0-d array take the rule of their Python scalar."""
     if isinstance(obj, dict):
         return "".join(_pieces(obj, indent))
@@ -92,20 +92,31 @@ def dumps_json(obj, indent: int = 0) -> str:
 def _dumps_long_array(arr: np.ndarray, pad: str) -> str:
     """n elements joined by ", " take at least 3n - 2 characters, so rows of
     35 or more are over 100 whatever their values: every level prints one
-    element per line, all at ``pad``.  :func:`_g17.g17` writes every
-    element, each followed by the line break; the rows are cut from its
-    text by the token lengths and fill one ``%s`` template of the outer
-    axes."""
-    from ._g17 import g17  # on first use: compiled with the CLI, it added 1 ms and 0.3 MB to every command
+    element per line, all at ``pad``.  The text module ``_text`` writes
+    every element, ``%.17g`` or ``null`` for a non-finite one, Python's
+    ``format`` those it cannot vouch for, one call per ``_text.BLOCK``
+    elements; after each it writes the text up to the next: the line
+    break, or the ends of the rows the element closes and the starts of
+    those that follow."""
+    from . import _text  # on first use: compiled with the CLI, it added 1 ms and 0.3 MB to every command
 
-    line = ",\n" + pad + "  "
-    text, lengths = g17(arr.astype(np.float64, casting="same_kind", copy=False).reshape(-1), line)
-    ends = np.cumsum(lengths + len(line))[arr.shape[-1] - 1 :: arr.shape[-1]].tolist()
-    rows = [text[start : end - len(line)] for start, end in zip([0] + ends, ends)]
-    template = "[\n" + pad + "  %s\n" + pad + "]"
-    for n in reversed(arr.shape[:-1]):
-        template = "[\n" + pad + "  " + (template + line) * (n - 1) + template + "\n" + pad + "]"
-    return template % tuple(rows)
+    begin, end, line = "[\n" + pad + "  ", "\n" + pad + "]", ",\n" + pad + "  "
+    flat = arr.reshape(-1)
+    closed = np.zeros(arr.shape, dtype=np.uint8)  # the rows an element closes: its trailing axes at their end
+    for m in range(1, arr.ndim + 1):
+        closed[(...,) + (-1,) * m] += 1
+    closed = closed.reshape(-1)
+    inner = (closed == 0).view(np.uint8)
+    pieces = [begin * arr.ndim]  # each element, then the line break or the byte m if it closes m rows
+    for i in range(0, flat.size, _text.BLOCK):
+        block = flat[i : i + _text.BLOCK]
+        after = [inner[i : i + _text.BLOCK] * c for c in line.encode()] + [closed[i : i + _text.BLOCK]]
+        piece = _text.text([_text.float_rows(block, _text.G17), after], block.size)
+        for m in range(1, arr.ndim):
+            piece = piece.replace(chr(m), end * m + line + begin * m)
+        pieces.append(piece)
+    pieces[-1] = pieces[-1][:-1] + end * arr.ndim  # the last element closes every row
+    return "".join(pieces)
 
 
 def _pieces(obj: dict, indent: int = 0):

@@ -3,7 +3,9 @@
 Immersion points by adaptive line quadrature of the three Weierstrass
 1-forms, period vectors over closed cycles, and full mesh sampling with
 Gauss-map normals, curvature and entropy-form norms per vertex.  Meshes
-export to ASCII OBJ (v/vn/f, ``%.9g``) with a compact JSON vertex sidecar.
+export to ASCII OBJ (v/vn/f, ``%.9g``) with a compact JSON vertex sidecar,
+whose numbers the text module ``_text`` writes a block at a time; it is
+imported on first use.
 
 A mesh takes one :class:`~entropydiff.weierstrass.SurfaceFields` pass.  Its
 jets of h/G, hG and h give the integrand f and f', f'' at every node, and
@@ -22,7 +24,6 @@ lockstep call.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,27 +286,53 @@ def spinor_mesh(grid: UniformGrid, fields: dict, rho: AnalyticExpr) -> SurfaceMe
     return SurfaceMesh(grid, grid.zs, positions, inverse_stereographic(G), metric["K"], T, That, grid_faces(*grid.shape))
 
 
+def _columns(rows: list, k: int) -> list:
+    """The rows of each of k equal runs of the elements that ``rows`` write."""
+    n = len(rows[0]) // k
+    return [[row[c * n : (c + 1) * n] for row in rows] for c in range(k)]
+
+
 def write_obj(mesh: SurfaceMesh, path: str):
-    """ASCII OBJ with positions and unit normals (``%.9g``) and triangulated
-    faces, one ``%`` call per 8192 lines (faces 1-based, vertex//normal, by block) so memory stays small."""
+    """ASCII OBJ: positions and unit normals, ``%.9g``, then triangulated
+    faces, 1-based, vertex//normal.  The text module ``_text`` writes every
+    number, each line's ``v``, spaces, ``//`` and line break with it, one
+    call per ``_text.BLOCK // 3`` lines so memory stays small; Python's
+    ``format`` writes the few floats it cannot vouch for (module docstring
+    of ``_text``)."""
+    from . import _text  # on first use, as cli imports it
+
     ny, nx = mesh.zs.shape
-    blocks = (
-        ("v %.9g %.9g %.9g\n", mesh.positions.reshape(-1, 3), np.asarray),
-        ("vn %.9g %.9g %.9g\n", mesh.normals.reshape(-1, 3), np.asarray),
-        ("f %d//%d %d//%d %d//%d\n", mesh.faces, lambda f: np.repeat(f + 1, 2, axis=1)),
-    )
+    lines = _text.BLOCK // 3
     with open(path, "w") as fh:
         fh.write(f"# entropydiff surface mesh {nx}x{ny}\n")
-        for line, rows, values in blocks:
-            for block in (values(rows[i : i + 8192]) for i in range(0, len(rows), 8192)):
-                fh.write(line * len(block) % tuple(block.reshape(-1).tolist()))
+        for tag, values in ((b"v ", mesh.positions), (b"vn ", mesh.normals)):
+            values = values.reshape(-1, 3)
+            for i in range(0, len(values), lines):
+                block = values[i : i + lines]
+                x, y, z = _columns(_text.float_rows(block.T.reshape(-1), _text.G9), 3)
+                fh.write(_text.text([tag, x, b" ", y, b" ", z, b"\n"], len(block)))
+        for i in range(0, len(mesh.faces), lines):
+            block = mesh.faces[i : i + lines]
+            a, b, c = _columns(_text.index_rows(block.T.reshape(-1) + 1), 3)
+            fh.write(_text.text([b"f ", a, b"//", a, b" ", b, b"//", b, b" ", c, b"//", c, b"\n"], len(block)))
 
 
 def write_sidecar(mesh: SurfaceMesh, path: str):
     """JSON sidecar with per-vertex scalars in row-major vertex order: the
-    bytes of ``json.dump``, one array through the C encoder at a time."""
+    bytes of ``json.dump``, whose floats are their ``repr`` and ``NaN``,
+    ``Infinity`` or ``-Infinity``.  The text module ``_text`` writes them,
+    one call per ``_text.BLOCK`` values, and ``json.dumps`` the few it
+    cannot vouch for."""
+    from . import _text
+
     with open(path, "w") as fh:
         fh.write('{"schema": 1, "nx": %d, "ny": %d' % mesh.zs.shape[::-1])
         for key in ("K", "T_norm", "That_norm"):
-            fh.write(f', "{key}": ' + json.dumps(getattr(mesh, key).reshape(-1).tolist()))
+            values = getattr(mesh, key).reshape(-1)
+            fh.write(f', "{key}": [')
+            for i in range(0, values.size, _text.BLOCK):
+                block = values[i : i + _text.BLOCK]
+                piece = _text.text([b", ", _text.float_rows(block, _text.JSON)], block.size)
+                fh.write(piece[2:] if i == 0 else piece)
+            fh.write("]")
         fh.write("}\n")

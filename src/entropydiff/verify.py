@@ -118,7 +118,7 @@ def _umbilic_guard(K: np.ndarray, grid: UniformGrid) -> np.ndarray:
     Umbilic points are exactly the zeros of K; the guard keeps the double
     pole of the entropy differential out of stencil statistics.
     """
-    scale = np.nanmax(np.abs(K)) or 1.0
+    scale = np.abs(K[np.isfinite(K)]).max(initial=0.0) or 1.0  # over finite K, which may be none
     near = ~(np.abs(K) > TOLERANCES["umbilic_kappa_rel"] * scale) | ~np.isfinite(K)
     if not near.any():
         return near

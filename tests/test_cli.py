@@ -366,6 +366,15 @@ def test_stencil_checks_with_every_node_guarded_are_a_numeric_failure(tmp_path, 
     assert doc["error"]["code"] == "umbilic-on-grid"
 
 
+def test_a_grid_with_k_nan_at_every_node_is_a_quiet_numeric_failure(tmp_path, capsys):
+    # h = 0 makes the metric zero, so K is NaN at every node and no node survives the guard
+    argv = ("verify", "--G", "z", "--h", "0", "--domain=400,401,800,801", "--checks", "soliton", "--delta", "0.05")
+    code, doc = _run(tmp_path, *argv)
+    assert code == 2
+    assert doc["error"]["code"] == "umbilic-on-grid"
+    assert capsys.readouterr().err == ""
+
+
 def test_numeric_failure_exit_code(tmp_path):
     # rho = 1/z has a pole at the integration base: PoleOnPath, exit 2
     code, doc = _run(tmp_path, "reconstruct", "--rho", "1/z")
@@ -509,10 +518,10 @@ def test_a_literal_that_overflows_a_float_is_bad_input(tmp_path, G):
     assert "out of range" in doc["error"]["message"]
 
 
-@pytest.mark.parametrize("module", ["scipy", "numpy.polynomial", "fractions", "decimal", "entropydiff._g17"])
+@pytest.mark.parametrize("module", ["scipy", "numpy.polynomial", "fractions", "decimal", "entropydiff._text"])
 def test_cli_import_leaves_scipy_out(module):
-    # numpy.polynomial builds the Gauss-Legendre rule, on first use only; the
-    # %.17g kernel is imported on first use and builds its powers of ten from plain ints
+    # numpy.polynomial builds the Gauss-Legendre rule, on first use only; cli and
+    # surface import the text module on first use, and it builds its powers of ten from plain ints
     import subprocess
     import sys
     from pathlib import Path

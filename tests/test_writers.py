@@ -3,18 +3,21 @@ writers they replaced.
 
 The oracles below are the per-element ``dumps_json``, ``_float_grid``,
 ``write_obj`` and ``write_sidecar`` that formatted one Python value per
-call.  The writers must keep their bytes exactly.  The vectorized ``%.17g``
-kernel of the report writer is held to ``format(x, ".17g")`` itself.
+call.  The writers must keep their bytes exactly.  The text module's
+kernels are held to Python's own text of each element: ``format(x, ".17g")``
+for the report, ``"%.9g" % x`` for the OBJ and ``json.dumps`` for the
+sidecar.
 """
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from entropydiff import _g17
+from entropydiff import _text
 from entropydiff.cli import build_parser, cmd_analyze, dumps_json, main
 from entropydiff.geomnum import RectDomain
 from entropydiff.models import get_model
@@ -206,10 +209,17 @@ KERNEL_CASES = {
 def test_g17_kernel_matches_format_byte_for_byte(case):
     x = KERNEL_CASES[case]()
     sep = ",\n      "
-    text, lengths = _g17.g17(x, sep)
-    tokens = _tokens(x)
-    assert text == "".join(t + sep for t in tokens)
-    assert lengths.tolist() == [len(t) for t in tokens]
+    assert _text.text([_text.float_rows(x, _text.G17), sep.encode()], x.size) == "".join(t + sep for t in _tokens(x))
+
+
+def _counting(style, calls):
+    """``style``, with its Python text counting the elements it writes."""
+
+    def python(v):
+        calls.append(v)
+        return style.python(v)
+
+    return style._replace(python=python)
 
 
 def test_g17_kernel_writes_ordinary_values_itself_and_hands_ties_to_python(monkeypatch):
@@ -219,21 +229,95 @@ def test_g17_kernel_writes_ordinary_values_itself_and_hands_ties_to_python(monke
         calls.append(v)
         return format(v, spec)
 
-    monkeypatch.setattr(_g17, "format", counting_format, raising=False)
+    monkeypatch.setattr(_text, "format", counting_format, raising=False)
     rng = np.random.default_rng(5)
     # below 2^50: between 2^50 and 2^53 a double with a fraction is often an exact 17-digit tie
     ordinary = rng.normal(size=1 << 16) * 10.0 ** rng.integers(-30, 14, 1 << 16)
-    assert _g17.g17(ordinary, "")[0] == "".join(_tokens(ordinary))
+    assert _text.text([_text.float_rows(ordinary, _text.G17)], ordinary.size) == "".join(_tokens(ordinary))
     assert len(calls) < 1e-3 * ordinary.size  # only values next to a power of ten
     calls.clear()
     ties = KERNEL_CASES["ties"]()
-    assert _g17.g17(ties, "")[0] == "".join(_tokens(ties))
+    assert _text.text([_text.float_rows(ties, _text.G17)], ties.size) == "".join(_tokens(ties))
     assert len(calls) == ties.size
 
 
+def _shortest_of_each_length() -> np.ndarray:
+    """Values whose shortest text has 1 to 17 significant digits, 4096 of each, at every decimal exponent."""
+    rng = np.random.default_rng(11)
+    texts = []
+    for n in range(1, 18):
+        mantissas = rng.integers(10 ** (n - 1), 10**n, 4096)
+        exponents = rng.integers(-320, 300, 4096)
+        texts += [f"{m}e{k}" for m, k in zip(mantissas.tolist(), exponents.tolist())]
+    return np.array([float(t) for t in texts])
+
+
+def _notation_switches() -> np.ndarray:
+    """1e-4, 1e9 and 1e16, where fixed and scientific notation meet, each with
+    its neighbouring doubles, and values that round up into the next decade."""
+    edges = np.array([1e-4, 1e8, 1e9, 1e15, 1e16, 1e17])
+    near = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+    round_up = np.array([999999999.5, 999999999.4999999, 99999999.95, 9.9999999995e-5, 9999999999999998.0, 0.99999999995])
+    return np.concatenate([near, -near, round_up, -round_up, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+
+
+SHORT_CASES = {
+    **KERNEL_CASES,
+    "shortest of 1 to 17 digits": _shortest_of_each_length,
+    "notation switches": _notation_switches,
+    # 10 digits ending in 5: exact ties at 9 digits
+    "ties at 9 digits": lambda: np.arange(1_000_000_005, 1_000_000_005 + 10 * (1 << 14), 10, dtype=np.float64),
+    "subnormals": lambda: np.concatenate([np.arange(1, 1 << 12) * 5e-324, 2.2250738585072009e-308 - np.arange(1 << 12) * 5e-324]),
+}
+SHORT_STYLES = {
+    "g9": (_text.G9, lambda x: ("%.9g\n" * x.size % tuple(x.tolist())).split("\n")[:-1]),
+    # json.dumps writes a float list's elements as the sidecar does: repr, NaN, Infinity, -Infinity
+    "repr": (_text.JSON, lambda x: json.dumps(x.tolist())[1:-1].split(", ") if x.size else []),
+}
+
+
+@pytest.mark.parametrize("style", SHORT_STYLES)
+@pytest.mark.parametrize("case", SHORT_CASES)
+def test_g9_and_shortest_kernels_match_python_byte_for_byte(case, style):
+    x = SHORT_CASES[case]()
+    kernel, oracle = SHORT_STYLES[style]
+    assert _text.text([_text.float_rows(x, kernel), b"|"], x.size) == "".join(t + "|" for t in oracle(x))
+
+
+@pytest.mark.parametrize("style", SHORT_STYLES)
+def test_g9_and_shortest_kernels_write_ordinary_values_themselves(style):
+    calls = []
+    kernel, oracle = SHORT_STYLES[style]
+    rng = np.random.default_rng(6)
+    # below 10^14, as above: from about 2^47 on a double with a fraction is often an exact
+    # decimal tie at 16 or 17 digits, where Python's tie rule decides the shortest text
+    ordinary = rng.normal(size=1 << 16) * 10.0 ** rng.integers(-30, 14, 1 << 16)
+    assert _text.text([_text.float_rows(ordinary, _counting(kernel, calls))], ordinary.size) == "".join(oracle(ordinary))
+    assert len(calls) < 1e-3 * ordinary.size
+
+
+def test_ties_at_9_digits_and_powers_of_two_go_to_python():
+    calls = []
+    ties = SHORT_CASES["ties at 9 digits"]()
+    assert _text.text([_text.float_rows(ties, _counting(_text.G9, calls))], ties.size) == "".join(SHORT_STYLES["g9"][1](ties))
+    assert len(calls) == ties.size
+    calls.clear()
+    powers = KERNEL_CASES["2^k"]()  # the gap below 2^k is half the gap above: the shortest text is Python's
+    assert _text.text([_text.float_rows(powers, _counting(_text.JSON, calls))], powers.size) == "".join(SHORT_STYLES["repr"][1](powers))
+    assert len(calls) == powers.size
+
+
+def test_index_digits_across_every_digit_count():
+    ids = np.array([v for k in range(1, 19) for v in (10**k - 2, 10**k - 1, 10**k) if v < 10**18] + [0, 1, 2, 10**18 - 1])
+    assert _text.text([_text.index_rows(ids), b" "], ids.size) == "".join(f"{v} " for v in ids.tolist())
+    for bad in ([-1], [10**18]):
+        with pytest.raises(ValueError):
+            _text.index_rows(np.array(bad))
+
+
 def test_the_power_table_is_ten_to_the_k_in_double_double():
-    hi, top, bottom, lo = (v.tolist() for v in _g17._powers_of_ten())
-    for k, h, t, b, low in zip(_g17._POWERS, hi, top, bottom, lo):
+    hi, top, bottom, lo = (v.tolist() for v in _text._powers_of_ten())
+    for k, h, t, b, low in zip(_text._POWERS, hi, top, bottom, lo):
         exact = Fraction(10) ** k
         assert abs(Fraction(h) + Fraction(low) - exact) <= exact / 2**105
         assert t + b == h and _significant_bits(t) <= 26 and _significant_bits(b) <= 26  # Dekker's halves
@@ -258,13 +342,42 @@ def _mesh(rng, ny, nx) -> SurfaceMesh:
     )
 
 
-@pytest.mark.parametrize("ny,nx", [(8, 8), (9, 13), (100, 100)])  # 100x100 spans several write chunks
-def test_mesh_writers_match_the_per_element_oracles(tmp_path, ny, nx):
-    mesh = _mesh(np.random.default_rng(ny * nx), ny, nx)
+def _writers_match_the_oracles(tmp_path, mesh):
     for new, old in [(write_obj, oracle_write_obj), (write_sidecar, oracle_write_sidecar)]:
         new(mesh, tmp_path / "new")
         old(mesh, tmp_path / "old")
         assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+# 100x100 and 129x131 span more than one kernel call, and 129x131 ends in a short one for
+# every block; 2x5001 and 5001x2 number vertices 1 to 10002
+@pytest.mark.parametrize("ny,nx", [(8, 8), (9, 13), (100, 100), (129, 131), (2, 5001), (5001, 2)])
+def test_mesh_writers_match_the_per_element_oracles(tmp_path, ny, nx):
+    _writers_match_the_oracles(tmp_path, _mesh(np.random.default_rng(ny * nx), ny, nx))
+
+
+def test_obj_faces_with_ids_of_every_digit_count(tmp_path):
+    mesh = _mesh(np.random.default_rng(3), 2, 2)
+    ids = [0] + [10**k + d for k in range(1, 18) for d in (-2, -1)] + [10**18 - 2]  # written 1 up to 10^18 - 1
+    mesh.faces = np.array(ids).reshape(-1, 3)
+    _writers_match_the_oracles(tmp_path, mesh)
+    write_obj(mesh, tmp_path / "m.obj")
+    assert (tmp_path / "m.obj").read_text().endswith(f"f {10**17 - 1}//{10**17 - 1} {10**17}//{10**17} {10**18 - 1}//{10**18 - 1}\n")
+
+
+def test_writers_hold_a_block_at_a_time(tmp_path):
+    # a whole-file % call once raised the mesh command's RSS from 78 to 117 MB; the 256x256
+    # OBJ is 10.3 MB of text and its sidecar 4.2 MB
+    mesh = sample_mesh(get_model("deformed-catenoid", t=0.3161).data, (256, 256))
+    for writer in (write_obj, write_sidecar):
+        writer(mesh, tmp_path / "warm")  # the text module and its table of powers of ten
+        tracemalloc.start()
+        try:
+            writer(mesh, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------
