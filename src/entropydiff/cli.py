@@ -9,8 +9,9 @@ Surfaces come either from the catalog (--surface NAME [--t T | --mu MU])
 or from expression strings (--G EXPR --h EXPR --domain x0,x1,y0,y1).
 Reports are JSON (schema 1) with floats printed to 17 significant digits
 and fixed key order, so identical configs produce byte-identical files.
-Exit codes: 0 success, 1 bad input (expressions that do not parse, grids
-over MAX_GRID_NODES, samples over MAX_SAMPLES too), 2 numeric failure.
+Exit codes: 0 success, 1 bad input (usage errors, options the run does not
+use, expressions that do not parse, grids over MAX_GRID_NODES, samples over
+MAX_SAMPLES too), 2 numeric failure; a failure writes the error document.
 """
 
 from __future__ import annotations
@@ -137,6 +138,10 @@ def _pieces(obj: dict, indent: int = 0):
     yield "\n" + pad + "}"
 
 
+def _error_doc(code: str, message: str) -> dict:
+    return {"schema": SCHEMA_VERSION, "error": {"code": code, "message": message}}
+
+
 def _emit(doc: dict, out_path: str | None):
     """Write ``doc`` and a newline to ``out_path``, or to stdout, one piece
     of :func:`_pieces` at a time."""
@@ -150,9 +155,11 @@ def _emit(doc: dict, out_path: str | None):
 # ---------------------------------------------------------------------------
 
 class _CliParser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the contract here is 1 = bad input
+    # argparse prints usage errors to stderr and exits 2; here they are bad
+    # input: the error document on stdout (--out is not parsed yet), exit 1
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        _emit(_error_doc("bad-input", f"{self.prog}: {message}"), None)
+        self.exit(1)
 
 
 class BadInput(ValueError):
@@ -202,8 +209,11 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(parse_expression(text).eval(0.0))
+def _parse_complex(flag: str, text: str) -> complex:
+    value = parse_expression(text).eval(np.zeros(1))[0]  # at z = 0; a pole there reads NaN
+    if not np.isfinite(value):
+        raise BadInput(f"{flag} must be a finite constant, not {text!r}")
+    return complex(value)
 
 
 def _surface_from_args(args) -> tuple[WeierstrassData, dict]:
@@ -236,6 +246,8 @@ def _surface_from_args(args) -> tuple[WeierstrassData, dict]:
         if args.domain is not None:
             data = WeierstrassData(data.G, data.h, _parse_domain(args.domain), data.periodic_y, data.label)
         return data, params
+    if args.t is not None or args.mu is not None:
+        raise BadInput("an expression surface takes no --t or --mu")
     if args.G is None or args.h is None or args.domain is None:
         raise BadInput("expression surfaces need --G, --h and --domain")
     G = parse_expression(args.G)
@@ -303,18 +315,22 @@ def _reconstruct_system(args) -> tuple[HillSystem, dict]:
         if args.phi is not None or args.alpha is not None:
             if args.phi is None or args.alpha is None:
                 raise BadInput("the exponential normal form needs both --phi and --alpha")
-            alpha = _parse_complex(args.alpha)
+            if args.mu is not None or args.nu is not None:
+                raise BadInput("--mu and --nu set the linear state, not the exponential one of --phi/--alpha")
+            alpha = _parse_complex("--alpha", args.alpha)
             state = canonical_state_phi_alpha(args.phi, alpha)
             params.update({"phi": args.phi, "alpha": args.alpha})
         else:
             mu = args.mu if args.mu is not None else 1.0
-            nu = _parse_complex(args.nu) if args.nu is not None else 0j
+            nu = _parse_complex("--nu", args.nu) if args.nu is not None else 0j
             state = canonical_state_mu_nu(mu, nu)
             params.update({"mu": mu, "nu": [nu.real, nu.imag]})
         return HillSystem(rho, 0.0, state), params
 
 
 def cmd_reconstruct(args) -> dict:
+    if args.sidecar and not args.obj:
+        raise BadInput("--sidecar describes the mesh of --obj; give --obj too")
     sys_, params = _reconstruct_system(args)
     dom = _parse_domain(args.domain) if args.domain else RectDomain(-1.0, 1.0, -1.0, 1.0)
     nsamp = _positive("--samples", args.samples)
@@ -437,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("reconstruct", help="rebuild a surface from its entropy coefficient")
     pr.add_argument("--rho", required=True, help="entropy coefficient expression")
     pr.add_argument("--mu", type=float, help="mu > 0 of the (mu, nu + z/(2 mu)) state")
-    pr.add_argument("--nu", help="nu of the linear state (complex literal)")
+    pr.add_argument("--nu", help="nu of the linear state (constant expression)")
     pr.add_argument("--phi", type=float, help="phi of the exponential normal form")
-    pr.add_argument("--alpha", help="alpha of the exponential normal form (complex literal)")
+    pr.add_argument("--alpha", help="alpha of the exponential normal form (constant expression)")
     pr.add_argument("--domain")
     pr.add_argument("--samples", type=int, default=25)
     pr.add_argument("--grid", default="32x32")
@@ -497,10 +513,10 @@ def main(argv=None) -> int:
     try:
         doc = args.fn(args)
     except (BadInput, ExpressionParseError) as exc:
-        _emit({"schema": SCHEMA_VERSION, "error": {"code": "bad-input", "message": str(exc)}}, getattr(args, "out", None))
+        _emit(_error_doc("bad-input", str(exc)), args.out)
         return 1
     except EntropyDiffError as exc:
-        _emit({"schema": SCHEMA_VERSION, "error": {"code": exc.code, "message": str(exc)}}, getattr(args, "out", None))
+        _emit(_error_doc(exc.code, str(exc)), args.out)
         return 2
     _emit(doc, args.out)
     return 0

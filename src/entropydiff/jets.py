@@ -3,8 +3,8 @@
 An :class:`AnalyticExpr` is a small expression tree (constants, ``z``,
 ``+ - * /``, integer powers, ``exp``) describing a meromorphic function of
 one complex variable.  :func:`eval_jet` evaluates such an expression as a
-truncated Taylor series at a point, which is how every derivative in the
-library is produced: no symbolic algebra, no finite differencing.
+truncated Taylor series at a point, which is how every value (row 0) and
+derivative in the library is produced: no symbolic algebra, no differencing.
 
 A :class:`Jet` is nothing but its array of *Taylor coefficients*
 ``coeffs[k] = f^(k)(z0) / k!`` rather than raw derivatives, so the
@@ -18,7 +18,7 @@ evaluate jets on a whole grid of base points at once.
 
 Text is read by a regular-expression tokenizer and a recursive-descent
 parser; one table of the four binary operators serves the parser, the
-printer, direct evaluation and constant folding.
+printer, jet evaluation and constant folding.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class AnalyticExpr:
     Build expressions from the module-level variable :data:`Z` and the
     helpers :func:`const` and :func:`exp`, or parse them from text with
     :func:`parse_expression`.  Instances are immutable and hashable by
-    identity.
+    identity.  Its value is row 0 of its jet (:meth:`eval`).
 
     The binary operators fold as they build: an operator may return a
     new tree, a folded constant or one of its operands (see :func:`_fold`).
@@ -123,36 +123,12 @@ class AnalyticExpr:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, z):
-        """Evaluate directly at ``z`` (scalar or ndarray).
-
-        Division by zero yields inf/nan silently; callers that care check
-        finiteness.  For jet evaluation (derivatives, pole cancellation)
-        use :func:`eval_jet`.
-        """
-        scalar = not isinstance(z, np.ndarray)
-        zz = np.asarray(z, dtype=np.complex128)
-        with np.errstate(all="ignore"):
-            out = self._eval(zz)
-        out = np.asarray(out, dtype=np.complex128)
-        return complex(out) if scalar else out
+        """Row 0 of ``eval_jet(self, z, 0)``: a complex for a scalar ``z``
+        (a pole raises PoleAtPoint), an ndarray otherwise (NaN at a pole)."""
+        value = eval_jet(self, z, 0).value
+        return value if isinstance(z, np.ndarray) else complex(value)
 
     __call__ = eval
-
-    def _eval(self, z):
-        kind = self.kind
-        if kind == "const":
-            return np.broadcast_to(np.complex128(self.value), z.shape)
-        if kind == "z":
-            return z
-        if kind in _ARITHMETIC:
-            return _ARITHMETIC[kind](self.args[0]._eval(z), self.args[1]._eval(z))
-        if kind == "neg":
-            return -self.args[0]._eval(z)
-        if kind == "pow":
-            return self.args[0]._eval(z) ** self.value
-        if kind == "exp":
-            return np.exp(self.args[0]._eval(z))
-        raise AssertionError(f"unknown node kind {kind!r}")
 
     # -- structure -----------------------------------------------------------
 
@@ -554,8 +530,8 @@ def eval_jet(expr: AnalyticExpr, z, order: int) -> Jet:
     order, is evaluated again, alone, at doubling order up to
     ``_INTERNAL_ORDER_CAP`` until its ``order + 1`` coefficients are
     finite.  A point that stays singular is NaN in an array; a scalar
-    raises :class:`~entropydiff.errors.PoleAtPoint`.  Overflow and division
-    by zero give inf/NaN silently, as in :meth:`AnalyticExpr.eval`, and an
+    raises :class:`~entropydiff.errors.PoleAtPoint`, also where its value
+    overflowed to NaN.  Overflow gives inf/NaN without a warning, and an
     overflowed point is not evaluated again.
     """
     if order < 0:

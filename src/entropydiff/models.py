@@ -146,23 +146,22 @@ MODEL_NAMES = ("enneper", "catenoid", "helicoid", "deformed-catenoid", "deformed
 
 
 def get_model(name: str, t: float | None = None, mu: float | None = None, **kwargs) -> ModelSurface:
-    """Catalog lookup by name; t for the deformed families, mu for Enneper."""
+    """Catalog lookup by name; t for the deformed families, mu for Enneper.
+    A parameter the named surface does not take raises ValueError."""
     name = name.lower()
+    if name not in MODEL_NAMES:
+        raise ValueError(f"unknown surface {name!r}; choose from {MODEL_NAMES}")
+    takes = {"enneper": "mu", "deformed-catenoid": "t", "deformed-helicoid": "t"}.get(name)
+    for param, value in (("t", t), ("mu", mu)):
+        if value is not None and param != takes:
+            raise ValueError(f"{name} takes no parameter {param}")
     if name == "enneper":
         return enneper(**({"mu": mu} if mu is not None else {}), **kwargs)
-    if name == "catenoid":
-        return catenoid(**kwargs)
-    if name == "helicoid":
-        return helicoid(**kwargs)
-    if name == "deformed-catenoid":
-        if t is None:
-            raise ValueError("deformed-catenoid needs a parameter t")
-        return deformed_catenoid(t, **kwargs)
-    if name == "deformed-helicoid":
-        if t is None:
-            raise ValueError("deformed-helicoid needs a parameter t")
-        return deformed_helicoid(t, **kwargs)
-    raise ValueError(f"unknown surface {name!r}; choose from {MODEL_NAMES}")
+    if takes is None:
+        return (catenoid if name == "catenoid" else helicoid)(**kwargs)
+    if t is None:
+        raise ValueError(f"{name} needs a parameter t")
+    return (deformed_catenoid if name == "deformed-catenoid" else deformed_helicoid)(t, **kwargs)
 
 
 def closed_form_point(m: ModelSurface, x: float, y: float) -> np.ndarray:

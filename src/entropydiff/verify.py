@@ -507,7 +507,7 @@ def liouville_check(surface: str, grid: UniformGrid) -> Report:
     if rho_text == "0":
         state = canonical_state_mu_nu(1.0)
     else:
-        state = canonical_state_phi_alpha(0.0, complex(np.sqrt(-complex(rho.eval(0.0)))))
+        state = canonical_state_phi_alpha(0.0, complex(np.sqrt(-rho.eval(0.0))))
     f = solve_on_grid(HillSystem(rho, 0.0, state), grid)
     u = ScalarField(grid, np.log(np.abs(f["w1"]) ** 2 + np.abs(f["w2"]) ** 2))
 

@@ -392,6 +392,7 @@ def test_numeric_failure_exit_code(tmp_path):
         # a check must test the surface it is given
         ("verify", "--G", "-exp(z)", "--h", "1", "--domain", "-1,1,-1,1", "--checks", "liouville"),
         ("verify", "--surface", "catenoid", "--t", "0.5", "--checks", "ht-period"),
+        ("verify", "--surface", "catenoid", "--checks", "ht-period"),
         # grids over MAX_GRID_NODES, refused before they are allocated
         ("analyze", "--surface", "catenoid", "--grid", "100000x100000"),
         ("mesh", "--surface", "catenoid", "--grid", "100000x100000", "--obj", os.devnull),
@@ -437,6 +438,17 @@ def test_numeric_failure_exit_code(tmp_path):
         ("reconstruct", "--rho", "1", "--samples", str(MAX_SAMPLES + 1)),
         # an expression surface has no catalog rho for liouville
         ("verify", "--G", "z", "--h", "1", "--domain=-1,1,-1,1", "--checks", "liouville"),
+        # an option the run would not use
+        ("norm", "--surface", "catenoid", "--t", "0.5"),
+        ("norm", "--surface", "enneper", "--t", "0.5"),
+        ("mesh", "--surface", "helicoid", "--t", "0.5", "--obj", os.devnull),
+        ("analyze", "--G", "z", "--h", "1", "--domain=-1,1,-1,1", "--t", "0.5", "--grid", "8x8"),
+        ("norm", "--surface", "catenoid", "--mu", "0.5"),
+        ("analyze", "--surface", "deformed-catenoid", "--t", "0.3", "--mu", "0.5", "--grid", "8x8"),
+        ("verify", "--G", "z", "--h", "1", "--domain=-1,1,-1,1", "--mu", "0.5"),
+        ("reconstruct", "--rho=-1", "--phi", "0", "--alpha", "1", "--mu", "1"),
+        ("reconstruct", "--rho=-1", "--phi", "0", "--alpha", "1", "--nu", "0.5"),
+        ("reconstruct", "--rho", "1", "--sidecar", os.devnull),
     ],
 )
 def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, monkeypatch, capsys, argv):
@@ -518,17 +530,77 @@ def test_a_literal_that_overflows_a_float_is_bad_input(tmp_path, G):
     assert "out of range" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("reconstruct", "--rho", "0", "--nu", "1/0"), ("reconstruct", "--rho", "0", "--nu", "1e200*1e200"),
+     ("reconstruct", "--rho=-1", "--phi", "0", "--alpha", "exp(1000)")],
+)
+def test_a_state_constant_that_is_not_finite_is_bad_input(tmp_path, argv):
+    # a pole at 0 reads NaN and an overflow inf; either is refused by name
+    code, doc = _run(tmp_path, *argv)
+    assert code == 1
+    assert doc["error"]["code"] == "bad-input"
+    assert argv[-2] in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [("analyze", "--grid"), ("mesh", "--surface", "catenoid"), ()])
+def test_a_usage_error_ends_in_the_error_document(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"]["code"] == "bad-input"
+    assert err == ""
+
+
+def _child_env():
+    """The environment of a child interpreter that finds the package as this
+    process does, with or without PYTHONPATH."""
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_every_command_runs_on_numpy_alone(tmp_path):
+    # mpmath, sympy and scipy are for the tests; a run must not import them
+    import subprocess
+    import sys
+
+    obj = str(tmp_path / "m.obj")
+    runs = [
+        ["analyze", "--surface", "deformed-catenoid", "--t", "0.3", "--grid", "8x8"],
+        ["reconstruct", "--rho=-1", "--phi", "0", "--alpha", "1", "--samples", "5", "--grid", "8x8", "--obj", obj],
+        ["verify", "--surface", "catenoid", "--checks", "ricci,liouville", "--delta", "0.1"],
+        ["norm", "--surface", "catenoid", "--tol", "1e-3"],
+        ["mesh", "--surface", "enneper", "--grid", "8x8", "--obj", obj, "--sidecar", str(tmp_path / "m.json")],
+    ]
+    child = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules.update(dict.fromkeys(('mpmath', 'sympy', 'scipy')))\n"
+        "from entropydiff.cli import main\n"
+        "docs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = main(argv)\n"
+        "    docs.append([code, out.getvalue()])\n"
+        "print(json.dumps(docs))\n"
+    )
+    command = [sys.executable, "-c", child, json.dumps(runs)]
+    done = subprocess.run(command, capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    for argv, (code, out) in zip(runs, json.loads(done.stdout)):
+        assert code == 0, argv
+        assert "error" not in json.loads(out), argv  # one document, not an error
+
+
 @pytest.mark.parametrize("module", ["scipy", "numpy.polynomial", "fractions", "decimal", "entropydiff._text"])
 def test_cli_import_leaves_scipy_out(module):
     # numpy.polynomial builds the Gauss-Legendre rule, on first use only; cli and
     # surface import the text module on first use, and it builds its powers of ten from plain ints
     import subprocess
     import sys
-    from pathlib import Path
 
-    # the child finds the package as this process does, with or without PYTHONPATH
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = f"import sys, entropydiff.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=_child_env())
     assert out.stdout.strip() == "False"

@@ -92,7 +92,8 @@ def _worst_error(index: int):
     e = _tree(rng, DEPTH)
     worst, admitted = 0.0, 0
     for z0 in np.round(rng.uniform(-1.5, 1.5, (3, 2)), 3) @ [1.0, 1j]:
-        if not (all(abs(d.eval(z0)) >= 0.1 for d in _denominators(e)) and np.isfinite(e.eval(z0))):
+        at = np.array([z0])  # a one-point array: a pole reads NaN, where a scalar raises
+        if not (all(abs(d.eval(at)[0]) >= 0.1 for d in _denominators(e)) and np.isfinite(e.eval(at)[0])):
             continue
         admitted += 1
         with mp.workdps(40):

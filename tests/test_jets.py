@@ -2,6 +2,7 @@
 
 import operator
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from entropydiff.jets import (
     jet_mul,
     parse_expression,
 )
+from test_jet_properties import _mp_eval  # the tree in mpmath, independent of the jets
 
 
 def test_exp_series_at_zero():
@@ -133,21 +135,59 @@ def test_value_matches_direct_evaluation():
     for _ in range(60):
         e = _random_expr(rng)
         z = complex(rng.normal(), rng.normal()) * 0.5
-        direct = e.eval(z)
+        with mp.workdps(30):
+            direct = complex(_mp_eval(e, mp.mpc(z)))
         jet = eval_jet(e, z, 3)
         assert abs(jet.coeffs[0] - direct) <= 1e-13 * max(1.0, abs(direct))
 
 
 def test_first_derivative_matches_central_difference():
+    # mpmath's central difference at 30 digits
     rng = np.random.default_rng(11)
-    delta = 1e-5
     for _ in range(60):
         e = _random_expr(rng)
         z = complex(rng.normal(), rng.normal()) * 0.5
         jet = eval_jet(e, z, 2)
-        fd = (e.eval(z + delta) - e.eval(z - delta)) / (2 * delta)
-        scale = max(1.0, abs(fd))
-        assert abs(jet.derivative(1) - fd) < 1e-6 * scale
+        with mp.workdps(30):
+            fd = complex(mp.diff(lambda w: _mp_eval(e, w), mp.mpc(z)))
+        assert abs(jet.derivative(1) - fd) < 1e-12 * max(1.0, abs(fd))
+
+
+def _constant_tree(rng, depth=4):
+    """A seeded tree without z: constants of every size, joined by every node kind."""
+    if depth == 0 or rng.random() < 0.25:
+        return const(complex(*(rng.choice([0.0, 1.0, -2.5, 1e-3, 3e150, 1e300]) for _ in range(2))))
+    kind = rng.integers(0, 7)
+    if kind == 4:
+        return -_constant_tree(rng, depth - 1)
+    if kind == 5:
+        return _constant_tree(rng, depth - 1) ** int(rng.choice([-3, -1, 0, 2, 5]))
+    if kind == 6:
+        return exp(_constant_tree(rng, depth - 1))
+    a, b = _constant_tree(rng, depth - 1), _constant_tree(rng, depth - 1)
+    return (a + b, a - b, a * b, a / b)[kind]
+
+
+def _bits(value):
+    """The bytes of a value and its type, or "pole" where evaluation raised it."""
+    try:
+        v = value()
+    except PoleAtPoint:
+        return "pole"
+    return type(v), np.asarray(v, dtype=np.complex128).tobytes()
+
+
+def test_a_value_is_row_0_of_the_jet_bit_for_bit():
+    # one evaluator: eval is eval_jet at order 0, at a scalar (a complex, or
+    # PoleAtPoint) and at a one-point array (NaN at a pole)
+    rng = np.random.default_rng(29)
+    trees = [_constant_tree(rng) for _ in range(400)]
+    trees += [parse_expression(text) for text, want in _PARSE_CORPUS if want != "refused"]
+    for e in trees:
+        for z in (0.0, 0.5 - 0.25j, -3.0):
+            assert _bits(lambda: e.eval(z)) == _bits(lambda: complex(eval_jet(e, z, 0).value)), (str(e), z)
+            at = np.array([z])
+            assert _bits(lambda: e.eval(at)) == _bits(lambda: eval_jet(e, at, 0).value), (str(e), z)
 
 
 def _removable_forms(f, z0, rng):

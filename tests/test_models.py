@@ -108,3 +108,11 @@ def test_catalog_names_and_relations():
     assert get_model("deformed-helicoid", t=0.1).expected_relation is FamilyRelation.P_EQ_IHALF_Q
     with pytest.raises(ValueError):
         get_model("torus")
+
+
+@pytest.mark.parametrize(
+    "name, kw", [("catenoid", {"t": 0.5}), ("enneper", {"t": 0.5}), ("helicoid", {"mu": 1.0}), ("deformed-catenoid", {"t": 0.1, "mu": 1.0})]
+)
+def test_a_parameter_the_surface_does_not_take_is_refused(name, kw):
+    with pytest.raises(ValueError, match="takes no parameter"):
+        get_model(name, **kw)
