@@ -34,7 +34,7 @@ from .hill import (
     reconstruct_weierstrass,
     solve_on_grid,
 )
-from .jets import parse_expression
+from .jets import AnalyticExpr, parse_expression
 from .models import MODEL_NAMES, get_model
 from .surface import sample_mesh, spinor_mesh, write_obj, write_sidecar
 from .verify import hill_round_trip, run_checks, weighted_entropy_norm
@@ -209,9 +209,22 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
+def _parse(flag: str, text: str) -> AnalyticExpr:
+    try:
+        return parse_expression(text)
+    except ExpressionParseError as exc:
+        raise BadInput(f"{flag}: {exc}") from exc
+
+
+def _constant(e: AnalyticExpr) -> bool:
+    """No z in the folded tree."""
+    return e.kind != "z" and all(map(_constant, e.args))
+
+
 def _parse_complex(flag: str, text: str) -> complex:
-    value = parse_expression(text).eval(np.zeros(1))[0]  # at z = 0; a pole there reads NaN
-    if not np.isfinite(value):
+    e = _parse(flag, text)
+    value = e.eval(np.zeros(1))[0]  # at z = 0; a pole there reads NaN
+    if not (_constant(e) and np.isfinite(value)):
         raise BadInput(f"{flag} must be a finite constant, not {text!r}")
     return complex(value)
 
@@ -250,8 +263,7 @@ def _surface_from_args(args) -> tuple[WeierstrassData, dict]:
         raise BadInput("an expression surface takes no --t or --mu")
     if args.G is None or args.h is None or args.domain is None:
         raise BadInput("expression surfaces need --G, --h and --domain")
-    G = parse_expression(args.G)
-    h = parse_expression(args.h)
+    G, h = _parse("--G", args.G), _parse("--h", args.h)
     dom = _parse_domain(args.domain)
     data = WeierstrassData(G, h, dom, label="custom")
     return data, {"G": args.G, "h": args.h, "domain": args.domain}
@@ -309,7 +321,7 @@ def cmd_analyze(args) -> dict:
 
 
 def _reconstruct_system(args) -> tuple[HillSystem, dict]:
-    rho = parse_expression(args.rho)
+    rho = _parse("--rho", args.rho)
     params: dict = {"rho": args.rho}
     with _refused_as_bad_input():
         if args.phi is not None or args.alpha is not None:
@@ -329,14 +341,15 @@ def _reconstruct_system(args) -> tuple[HillSystem, dict]:
 
 
 def cmd_reconstruct(args) -> dict:
-    if args.sidecar and not args.obj:
-        raise BadInput("--sidecar describes the mesh of --obj; give --obj too")
+    for flag, value in (("--grid", args.grid), ("--sidecar", args.sidecar)):
+        if value is not None and not args.obj:
+            raise BadInput(f"{flag} describes the mesh of --obj; give --obj too")
     sys_, params = _reconstruct_system(args)
     dom = _parse_domain(args.domain) if args.domain else RectDomain(-1.0, 1.0, -1.0, 1.0)
     nsamp = _positive("--samples", args.samples)
     if nsamp > MAX_SAMPLES:
         raise BadInput(f"--samples {nsamp} is over the limit of {MAX_SAMPLES}")
-    nx, ny = _parse_grid(args.grid)
+    nx, ny = _parse_grid("32x32" if args.grid is None else args.grid) if args.obj else (0, 0)
     reach = complex(dom.x1, dom.y1) * 0.9
     pts = [reach * t for t in np.linspace(1.0 / nsamp, 1.0, nsamp)]
     sol = integrate_hill(sys_, [0.0] + pts)
@@ -458,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--alpha", help="alpha of the exponential normal form (constant expression)")
     pr.add_argument("--domain")
     pr.add_argument("--samples", type=int, default=25)
-    pr.add_argument("--grid", default="32x32")
+    pr.add_argument("--grid", help="mesh of --obj (default 32x32)")
     pr.add_argument("--obj")
     pr.add_argument("--sidecar")
     pr.add_argument("--out")

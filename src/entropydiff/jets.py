@@ -444,12 +444,11 @@ def _quotient(a: Jet, b: Jet):
     ac = np.broadcast_to(a.coeffs[: m + 1], (m + 1,) + shape)
     bc = np.broadcast_to(b.coeffs[: m + 1], (m + 1,) + shape)
 
-    bmag = np.abs(bc)
-    bmax = np.fmax.reduce(bmag, axis=0)
+    bmag, bmax, small = _denominator(bc)
     poles = ~(bmax > 0.0)  # no nonzero coefficient, or none but NaN
     # b's lead order is 0 where |b0| is significant; search only the other
     # points, among them those where b0 is NaN (NaN compares false)
-    small = ~(bmag[0] > _CANCEL_RTOL * bmax) & ~poles
+    small &= ~poles
     lead_b = np.zeros(shape, dtype=np.intp)
     if small.any():
         lead_b[small] = np.argmax(bmag[:, small] > _CANCEL_RTOL * bmax[small], axis=0)
@@ -481,6 +480,23 @@ def _quotient(a: Jet, b: Jet):
     if np.any(poles):
         out[:, poles] = np.nan
     return out, (bmax == 0.0) | (lead_b > 0)
+
+
+def _denominator(bc):
+    """(|b_k|, max_k |b_k| over the coefficients that are not NaN, and the
+    mask of the points where a quotient by b needs b's jet: |b0| is not
+    above _CANCEL_RTOL of that max, which holds also where no coefficient
+    is nonzero)."""
+    bmag = np.abs(bc)
+    bmax = np.fmax.reduce(bmag, axis=0)
+    return bmag, bmax, ~(bmag[0] > _CANCEL_RTOL * bmax)
+
+
+def quotient_needs_jet(b: Jet, order: int) -> np.ndarray:
+    """The points where row 0 of a quotient of order ``order`` by ``b``
+    (:func:`jet_div`) is not a0/b0: where it shifts the jets or flags a
+    pole.  Everywhere else row 0 is a0/b0, whatever a's higher rows are."""
+    return _denominator(b.coeffs[: order + 1])[2]
 
 
 def jet_exp(a: Jet) -> Jet:

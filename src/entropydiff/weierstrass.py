@@ -16,13 +16,14 @@ norms |T|, |T-hat| are derived only when read.  Its pointwise stages run
 on blocks of _BLOCK points; the masks and the recovery see the whole set.
 
 Removable singularities of the displayed quotients (e.g. G and h vanishing
-together) are absorbed by jet cancellation, but the eight terms of rho
-still cancel near them.  One mask flags the nodes where q, h/G or hG is
-non-finite or those terms cancel, and one jet pass over small circles
-around them recovers the fields there by the mean-value property; every
-other node keeps its direct value.  Umbilics (q = 0) keep their direct
-rho, a double pole (|T| = inf), while |T-hat| comes from the circle mean
-of the holomorphic product q^2 rho.
+together) are absorbed by jet cancellation, at the nodes where G's value is
+small against its jet; elsewhere q, h/G and hG come from values alone.  The
+eight terms of rho still cancel near those singularities.  One mask flags
+the nodes where q, h/G or hG is non-finite or those terms cancel, and one
+jet pass over small circles around them recovers the fields there by the
+mean-value property; every other node keeps its direct value.  Umbilics
+(q = 0) keep their direct rho, a double pole (|T| = inf), while |T-hat|
+comes from the circle mean of the holomorphic product q^2 rho.
 
 Field functions (suffix ``_fields``/``_field``) evaluate whole grids of
 points at once and mark failures with NaN; the sample functions evaluate
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import CriticalPoint, DegeneratePoint, PoleAtPoint, UmbilicPoint
 from .geomnum import RectDomain
-from .jets import AnalyticExpr, Jet, const, eval_jet, jet_div, jet_mul
+from .jets import AnalyticExpr, Jet, const, eval_jet, jet_div, jet_mul, quotient_needs_jet
 
 __all__ = [
     "WeierstrassData",
@@ -242,9 +243,30 @@ def _leaves(tree) -> list:
 
 
 def _jets(data: WeierstrassData, z):
-    """The one jet pass, G to order 3 and h to order 2 (all rho needs), and its :func:`_parts`."""
+    """The one jet pass, G to order 3 and h to order 2 (all rho needs), and
+    the values q, h/G and hG of :func:`_values`."""
     jG, jh = eval_jet(data.G, z, 3), eval_jet(data.h, z, 2)
-    return (jG, jh, *_parts(jG, jh))
+    return (jG, jh, *_values(jG, jh))
+
+
+def _values(jG, jh):
+    """q, h/G and hG: row 0 of :func:`_parts`, by the same floating operations.
+
+    hG = h G takes no quotient.  q and h/G take the quotients of
+    :func:`_parts` only at the nodes where those would shift the jets or
+    flag a pole (:func:`~entropydiff.jets.quotient_needs_jet`, G's value
+    small against its jet); everywhere else row 0 of each quotient is its
+    numerator's value over G's.  jG has an order above jh's, so both
+    quotients have jh's order.
+    """
+    G, G1, h = jG.coeffs[0], jG.coeffs[1], jh.coeffs[0]
+    with np.errstate(all="ignore"):
+        q, r, p = -(h * (G1 * 1.0) / G), h / G, h * G
+    full = quotient_needs_jet(jG, jh.order)
+    if full.any():
+        q[full], r_jet, _ = _parts(Jet(jG.coeffs[:, full]), Jet(jh.coeffs[:, full]))
+        r[full] = r_jet.value
+    return q, r, p
 
 
 def _parts(jG, jh):
@@ -253,11 +275,18 @@ def _parts(jG, jh):
 
     All three are holomorphic wherever the data describes an immersion
     (h/G = -2 w1^2 and hG = -2 w2^2 in spinor terms).  Where G vanishes,
-    h/G keeps its value but not the orders the cancellation cost.
+    h/G keeps its value but not the orders the cancellation cost.  The
+    fields take all of it only at the nodes :func:`_values` names; the
+    mesh takes the jets of h/G and hG, :func:`_form_jets`, everywhere.
     """
     with np.errstate(all="ignore"):
-        q = -jet_div(jet_mul(jh, jG.derivative_jet()), jG).value
-        return q, jet_div(jh, jG), jet_mul(jh, jG)
+        return -jet_div(jet_mul(jh, jG.derivative_jet()), jG).value, *_form_jets(jG, jh)
+
+
+def _form_jets(jG, jh):
+    """The jets of h/G and hG of :func:`_parts`."""
+    with np.errstate(all="ignore"):
+        return jet_div(jh, jG), jet_mul(jh, jG)
 
 
 def _derivatives(jG, jh):
@@ -289,7 +318,6 @@ def _circle_means(data: WeierstrassData, centers: np.ndarray) -> np.ndarray:
     """
     pts = centers[:, None] + _CIRCLE_RADIUS * np.exp(1j * _THETA)
     jG, jh, q, r, p = _jets(data, pts)
-    r, p = r.value, p.value
     rho, largest = _rho_and_scale(jG, jh)
     with np.errstate(all="ignore"):
         vals = np.stack([q, r, p, rho, q**2 * rho])
@@ -304,10 +332,14 @@ def _circle_means(data: WeierstrassData, centers: np.ndarray) -> np.ndarray:
 class SurfaceFields:
     """Every first-order field of (G, h) on one point set, from one jet pass.
 
-    ``G``, ``q``, ``h_over_G`` and ``hG`` are set on construction;
-    ``metric`` (the dict of :func:`metric_fields`), ``rho``, ``norms``
-    (|T|, |T-hat|) and ``form_jets`` are derived on first access.
-    Recovered nodes are filled in throughout, except in ``form_jets``.
+    ``G``, ``q``, ``h_over_G`` and ``hG`` are set on construction, from
+    the values of :func:`_values`: only the nodes where G's value is small
+    against its jet take the quotient jets of :func:`_parts`.  ``metric``
+    (the dict of :func:`metric_fields`), ``rho``, ``norms`` (|T|, |T-hat|)
+    and ``form_jets`` are derived on first access; ``form_jets`` takes the
+    jets of h/G and hG at every node.  Recovered nodes are filled in
+    throughout, except in ``form_jets``; a field with none to fill is the
+    direct array itself.
     A scalar z is the one-point array [z], whose fields have shape (1,):
     numpy rounds 0-d complex arithmetic apart from the same operation
     inside an array.  Fields have the shape of z; its points are one flat array inside.
@@ -316,9 +348,9 @@ class SurfaceFields:
     def __init__(self, data: WeierstrassData, z):
         self._data = data
         self.z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        self._jG, self._jh, q, self._r, self._p = _by_blocks(partial(_jets, data), _BLOCK, self.z.reshape(-1))
+        self._jG, self._jh, *direct = _by_blocks(partial(_jets, data), _BLOCK, self.z.reshape(-1))
         self.G = self._jG.value.reshape(self.z.shape)
-        self._direct = q, r, p = tuple(v.reshape(self.z.shape) for v in (q, self._r.value, self._p.value))
+        self._direct = q, r, p = tuple(v.reshape(self.z.shape) for v in direct)
         self._singular = ~(np.isfinite(q) & np.isfinite(r) & np.isfinite(p))
         qscale = max(float(np.abs(q[~self._singular]).max(initial=0.0)), 1.0)
         self._umbilic = ~self._singular & (np.abs(q) <= _UMBILIC_RTOL * qscale)
@@ -340,17 +372,18 @@ class SurfaceFields:
         return rho, circled, means
 
     def _recover(self, part: int, direct, nodes) -> np.ndarray:
-        """A copy of ``direct`` with circle mean ``part`` at the circled
-        ``nodes``.  Where the circle failed, a finite direct value stays,
-        else NaN."""
-        out = np.array(direct, dtype=np.complex128)
+        """``direct`` with circle mean ``part`` at the circled ``nodes``, in a
+        copy where there are any (``direct`` itself where there are none).
+        Where the circle failed, a finite direct value stays, else NaN."""
         if nodes.any():
             _, circled, means = self._fallback
             nodes = nodes & circled
-        if nodes.any():
-            mean = means[part][nodes[circled]]
-            old = out[nodes]
-            out[nodes] = np.where(np.isfinite(mean), mean, np.where(np.isfinite(old), old, np.nan))
+        if not nodes.any():
+            return direct
+        out = direct.copy()
+        mean = means[part][nodes[circled]]
+        old = out[nodes]
+        out[nodes] = np.where(np.isfinite(mean), mean, np.where(np.isfinite(old), old, np.nan))
         return out
 
     @cached_property
@@ -359,12 +392,11 @@ class SurfaceFields:
         of the Weierstrass 1-forms and their first two derivatives, direct
         (not recovered).  Where h/G has a value but lost orders to a
         vanishing G, those nodes alone take a jet of the expression h/G."""
-        r = self._r
+        r, p = _by_blocks(_form_jets, _BLOCK, self._jG, self._jh)
         short = np.isfinite(r.value) & ~np.isfinite(r.coeffs).all(axis=0)
         if short.any():
-            r = Jet(r.coeffs.copy())
             r.coeffs[:, short] = eval_jet(self._data.h / self._data.G, self.z.reshape(-1)[short], r.order).coeffs
-        return tuple(Jet(j.coeffs.reshape((-1,) + self.z.shape)) for j in (r, self._p, self._jh))
+        return tuple(Jet(j.coeffs.reshape((-1,) + self.z.shape)) for j in (r, p, self._jh))
 
     @cached_property
     def metric(self) -> dict:

@@ -264,7 +264,7 @@ def test_a_metric_factor_that_overflows_on_the_mesh_is_a_numeric_failure(tmp_pat
 
 
 def test_reconstruct_reads_rho_at_its_removable_points(tmp_path):
-    code, doc = _run(tmp_path, "reconstruct", "--rho", "z/z", "--grid", "8x8")
+    code, doc = _run(tmp_path, "reconstruct", "--rho", "z/z")
     assert code == 0 and doc["round_trip"]["pass"]
     # rho = 1 - z, removable at z = 0, a node of the 9x9 grid
     side = tmp_path / "r.json"
@@ -543,6 +543,37 @@ def test_a_state_constant_that_is_not_finite_is_bad_input(tmp_path, argv):
     assert argv[-2] in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        # a text that does not parse
+        ("--G", ("analyze", "--G", "1e400", "--h", "1", "--domain=-1,1,-1,1")),
+        ("--h", ("analyze", "--G", "z", "--h", "z +", "--domain=-1,1,-1,1")),
+        ("--rho", ("reconstruct", "--rho", "1e400")),
+        ("--nu", ("reconstruct", "--rho", "0", "--nu", "1e400")),
+        ("--alpha", ("reconstruct", "--rho", "0", "--phi", "0", "--alpha", "1e400")),
+        # a state constant that depends on z
+        ("--nu", ("reconstruct", "--rho", "0", "--nu", "z+1", "--samples", "2")),
+        ("--alpha", ("reconstruct", "--rho=-1", "--phi", "0", "--alpha", "z-z")),
+        # a mesh setting without the mesh of --obj
+        ("--grid", ("reconstruct", "--rho", "1", "--grid", "2000x2000", "--samples", "3")),
+        ("--grid", ("reconstruct", "--rho", "1", "--grid", "8x8")),
+    ],
+)
+def test_bad_input_names_its_flag(tmp_path, flag, argv):
+    code, doc = _run(tmp_path, *argv)
+    assert code == 1
+    assert doc["error"]["code"] == "bad-input"
+    assert doc["error"]["message"].split()[0].rstrip(":") == flag
+
+
+def test_reconstruct_obj_takes_a_32x32_mesh_by_default(tmp_path):
+    obj = tmp_path / "m.obj"
+    code, doc = _run(tmp_path, "reconstruct", "--rho=-1", "--phi", "0", "--alpha", "1", "--samples", "3", "--obj", str(obj))
+    assert code == 0
+    assert obj.read_text().count("\nv ") == 32 * 32
+
+
 @pytest.mark.parametrize("argv", [("analyze", "--grid"), ("mesh", "--surface", "catenoid"), ()])
 def test_a_usage_error_ends_in_the_error_document(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -571,7 +602,7 @@ def test_every_command_runs_on_numpy_alone(tmp_path):
     runs = [
         ["analyze", "--surface", "deformed-catenoid", "--t", "0.3", "--grid", "8x8"],
         ["reconstruct", "--rho=-1", "--phi", "0", "--alpha", "1", "--samples", "5", "--grid", "8x8", "--obj", obj],
-        ["verify", "--surface", "catenoid", "--checks", "ricci,liouville", "--delta", "0.1"],
+        ["verify", "--surface", "catenoid", "--checks", "ricci,ecritical,soliton,liouville", "--delta", "0.1"],
         ["norm", "--surface", "catenoid", "--tol", "1e-3"],
         ["mesh", "--surface", "enneper", "--grid", "8x8", "--obj", obj, "--sidecar", str(tmp_path / "m.json")],
     ]

@@ -7,11 +7,13 @@ import pytest
 
 from entropydiff.errors import CriticalPoint, DegeneratePoint, PoleAtPoint, UmbilicPoint
 from entropydiff.geomnum import RectDomain
-from entropydiff.jets import Z, const, exp, parse_expression
+from entropydiff.jets import Z, const, eval_jet, exp, parse_expression, quotient_needs_jet
 from entropydiff.models import deformed_catenoid
 from entropydiff.weierstrass import (
     SurfaceFields,
     WeierstrassData,
+    _parts,
+    _values,
     entropy_coefficient,
     entropy_field,
     entropy_form_norms,
@@ -360,7 +362,7 @@ def test_scalar_schwarzian_equals_the_array_bit_for_bit():
 
 def _bits(a):
     """The shape and bytes of a field, with every NaN made one NaN."""
-    v = np.array(a, dtype=np.complex128).view(np.float64)
+    v = np.array(a, dtype=np.complex128, order="C").view(np.float64)
     return np.shape(a), np.where(np.isnan(v), np.nan, v).tobytes()
 
 
@@ -393,6 +395,40 @@ def test_blocks_give_the_whole_set_fields_bit_for_bit(monkeypatch, case):
     assert list(metric) == list(whole.metric)
     assert [_bits(v) for v in metric.values()] == [_bits(v) for v in whole.metric.values()]
     assert _bits(hopf_field(data, zs)) == _bits(whole.q)
+
+
+def _values_cases() -> dict:
+    """(G, h) on a 9x9 grid of [-1, 1]^2, whose nodes include 0 and -0.5:
+    a zero, a double zero and a pole of G, and a zero 1e-13 from the node 0
+    that the quotients take for one there, with h = 1 or z; and pairs of
+    seeded trees of the property suite."""
+    from test_jet_properties import DEPTH, SEED, _tree
+
+    cases = {
+        f"G={G}, h={h}": (parse_expression(G), parse_expression(h))
+        for G in ("z", "z^2", "(z - 0.5)/(z + 0.5)", "z - 1e-13") for h in ("1", "z")
+    }
+    for index in range(40):
+        rng = np.random.default_rng((SEED, index))
+        cases[f"tree {index}"] = (_tree(rng, DEPTH), _tree(rng, DEPTH))
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_values_cases()))
+def test_field_values_are_row_0_of_the_full_quotients_bit_for_bit(case):
+    G, h = _values_cases()[case]
+    zs = RectDomain.square(1.0).grid(9, 9).zs
+    jG, jh = eval_jet(G, zs.reshape(-1), 3), eval_jet(h, zs.reshape(-1), 2)
+    q, r, p = _parts(jG, jh)
+    if case.startswith("G="):
+        assert 0 < quotient_needs_jet(jG, 2).sum() < zs.size, "the case needs both kinds of node"
+    f = SurfaceFields(WeierstrassData(G, h, RectDomain.square(1.0)), zs)
+    assert [_bits(v) for v in _values(jG, jh)] == [_bits(v) for v in (q, r.value, p.value)]
+    assert [_bits(v.reshape(-1)) for v in f._direct] == [_bits(v) for v in (q, r.value, p.value)]
+    # the form jets are the full ones, except where h/G lost orders to a zero of G
+    fr, fp, fh = (j.coeffs.reshape(3, -1) for j in f.form_jets)
+    kept = np.isfinite(r.coeffs).all(axis=0) | ~np.isfinite(r.value)
+    assert [_bits(fr[:, kept]), _bits(fp), _bits(fh)] == [_bits(r.coeffs[:, kept]), _bits(p.coeffs), _bits(jh.coeffs)]
 
 
 def _traced_peak_mb(fn) -> float:
