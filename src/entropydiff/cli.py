@@ -42,7 +42,7 @@ from .weierstrass import SurfaceFields, WeierstrassData
 
 SCHEMA_VERSION = 1
 T_CLAMP = 1e-3
-MAX_GRID_NODES = 1 << 20  # 1024x1024; analyze peaks near 140 MB at 512x512, 450 MB at 1024x1024
+MAX_GRID_NODES = 1 << 20  # 1024x1024; analyze peaks near 105 MB at 512x512, 325 MB at 1024x1024
 MAX_SAMPLES = 10_000  # reconstruct --samples; about 0.6 s and 3 MB of JSON
 
 
@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_VALUE_FLAGS = {"--domain", "--nu", "--alpha", "--G", "--h"}
+_VALUE_FLAGS = {"--domain", "--nu", "--alpha", "--G", "--h", "--rho"}
 
 
 def _join_negative_values(argv):

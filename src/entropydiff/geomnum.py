@@ -4,7 +4,8 @@ Uniform rectangular grids with scalar/metric fields, second-order finite
 difference operators in conformal metrics, and one deterministic adaptive
 Gauss-Legendre engine on the unit box, evaluated a level at a time, that
 serves 2-D panels and 1-D complex line segments, and a nested trapezoid
-rule for densities on a whole periodic strip.
+rule for densities on a whole periodic strip.  :func:`by_blocks` splits
+their integrand calls, and the field bundle's pointwise stages, into blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,25 @@ __all__ = [
     "integrate_segment",
     "integrate_strip",
     "QuadratureResult",
+    "by_blocks",
 ]
+
+
+def by_blocks(stage, size: int, *arrays) -> tuple:
+    """``stage(*arrays)`` on blocks of at most ``size`` points, the last axis
+    of every array it takes and of every array of the tuple it returns; the
+    blocks' arrays are written into whole-set arrays.  A set that fits one
+    block is one call, whose tuple is returned as it is."""
+    n = arrays[0].shape[-1]
+    if n <= size:
+        return stage(*arrays)
+    for i in range(0, n, size):
+        block = stage(*(a[..., i : i + size] for a in arrays))
+        if not i:
+            out = tuple(np.empty(b.shape[:-1] + (n,), b.dtype) for b in block)
+        for whole, part in zip(out, block):
+            whole[..., i : i + size] = part
+    return out
 
 
 @dataclass(frozen=True)
@@ -257,15 +276,14 @@ def _adaptive(g, d: int, tol: float, max_panels: int, what: str):
     per_call = _CALL_POINTS // len(weights)
 
     def values(corners, h):
-        out = []
-        for i in range(0, len(corners), per_call):
-            c = corners[i : i + per_call] + 0.5 * h
-            v = g((c.T[:, :, None] + 0.5 * h * nodes[:, None, :]).reshape(d, -1))
+        def stage(c):  # the centres (d, panels) of one call's panels
+            v = g((c[:, :, None] + 0.5 * h * nodes[:, None, :]).reshape(d, -1))
             finite = np.isfinite(v)
             if not finite.all():  # a panel with such a value is never accepted, so refining it spends the budget
                 raise NoConvergence(f"{what}: the integrand is not finite at {np.count_nonzero(~finite)} of {v.size} nodes")
-            out.append((0.5 * h) ** d * (v.reshape(v.shape[:-1] + (len(c), -1)) @ weights))
-        return np.concatenate(out, axis=-1)
+            return ((0.5 * h) ** d * (v.reshape(v.shape[:-1] + (c.shape[1], -1)) @ weights),)
+
+        return by_blocks(stage, per_call, (corners + 0.5 * h).T)[0]
 
     corners, h, panels = np.zeros((1, d)), 1.0, 0
     parent, accepted, errors = None, [], []
@@ -367,10 +385,7 @@ def integrate_strip(density, y0: float, period: float, tol: float = 1e-8) -> Qua
         nodes += s.size * y.size
         u = 0.5 * math.pi * np.sinh(s)
         zs = (np.sinh(u)[None, :] + 1j * y[:, None]).reshape(-1)
-        v = np.concatenate([
-            np.asarray(density(zs[i : i + _STRIP_CALL_POINTS]), dtype=np.float64)
-            for i in range(0, zs.size, _STRIP_CALL_POINTS)
-        ])
+        v = by_blocks(lambda b: (np.asarray(density(b), dtype=np.float64),), _STRIP_CALL_POINTS, zs)[0]
         if not np.isfinite(v).all():
             bad = zs[~np.isfinite(v)][0]
             raise NoConvergence(f"strip quadrature: density not finite at z = {bad.real:.17g}{bad.imag:+.17g}j")

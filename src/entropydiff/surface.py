@@ -128,26 +128,20 @@ def period_vector(data: WeierstrassData, cycle) -> np.ndarray:
 def inverse_stereographic(G):
     """Unit normal from the Gauss-map value: (2 Re G, 2 Im G, |G|^2 - 1)/(|G|^2 + 1).
 
-    Large |G| is folded through 1/G so the north pole comes out exact;
-    non-finite G maps to (0, 0, 1).
+    One formula in w = G where |G| <= 1, else w = 1/G with the sign s = -1
+    on the y and z components, so the north pole comes out exact;
+    non-finite G (where 1/G is not finite) maps to (0, 0, 1).
     """
-    Gv = np.asarray(G, dtype=np.complex128)
-    out = np.empty(Gv.shape + (3,), dtype=np.float64)
-    big = ~np.isfinite(Gv) | (np.abs(Gv) > 1.0)
+    G = np.asarray(G, dtype=np.complex128)
+    big = ~(np.abs(G) <= 1.0)
+    s = np.where(big, -1.0, 1.0)
     with np.errstate(all="ignore"):
-        denom = np.abs(Gv) ** 2 + 1.0
-        out[..., 0] = 2 * np.real(Gv) / denom
-        out[..., 1] = 2 * np.imag(Gv) / denom
-        out[..., 2] = (np.abs(Gv) ** 2 - 1.0) / denom
-        if np.any(big):
-            u = np.where(big, 1.0 / np.where(Gv == 0, 1.0, Gv), 0.0)
-            finite_u = np.isfinite(u)
-            u = np.where(finite_u, u, 0.0)
-            du = np.abs(u) ** 2 + 1.0
-            out[..., 0] = np.where(big, 2 * np.real(u) / du, out[..., 0])
-            out[..., 1] = np.where(big, -2 * np.imag(u) / du, out[..., 1])
-            out[..., 2] = np.where(big, (1.0 - np.abs(u) ** 2) / du, out[..., 2])
-    return out
+        w = np.where(big, 1.0 / G, G)
+        w = np.where(np.isfinite(w), w, 0.0)
+        w2 = np.abs(w) ** 2
+        d = w2 + 1.0
+        # s w2 - s, not s (w2 - 1): for w2 = 1 both branches give +0
+        return np.stack([2 * np.real(w) / d, s * 2 * np.imag(w) / d, (s * w2 - s) / d], axis=-1)
 
 
 @dataclass

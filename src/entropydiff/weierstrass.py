@@ -13,7 +13,8 @@ and one jet of h (order 2):
 with rho the eight-term rational combination of G', G'', G''', h', h''.
 :class:`SurfaceFields` takes both jets once per point set; rho and the
 norms |T|, |T-hat| are derived only when read.  Its pointwise stages run
-on blocks of _BLOCK points; the masks and the recovery see the whole set.
+on blocks of _BLOCK points (:func:`~entropydiff.geomnum.by_blocks`) and
+give plain arrays; the masks and the recovery see the whole set.
 
 Removable singularities of the displayed quotients (e.g. G and h vanishing
 together) are absorbed by jet cancellation, at the nodes where G's value is
@@ -35,12 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
 from .errors import CriticalPoint, DegeneratePoint, PoleAtPoint, UmbilicPoint
-from .geomnum import RectDomain
+from .geomnum import RectDomain, by_blocks
 from .jets import AnalyticExpr, Jet, const, eval_jet, jet_div, jet_mul, quotient_needs_jet
 
 __all__ = [
@@ -208,45 +209,11 @@ def _rho_terms(G, G1, G2, G3, h, h1, h2):
 # The field bundle
 # ---------------------------------------------------------------------------
 
-def _by_blocks(stage, size: int, *args):
-    """``stage(*args)`` on blocks of at most ``size`` points (the last axis of
-    every array in the trees of :func:`_map` it takes and gives), written
-    into whole-set arrays; a set that fits one block is one stage call."""
-    n = _leaves(args[0])[0].shape[-1]
-    if n <= size:
-        return stage(*args)
-    for i in range(0, n, size):
-        block = stage(*_map(lambda a: a[..., i : i + size], args))
-        if not i:
-            out = _map(lambda b: np.empty(b.shape[:-1] + (n,), b.dtype), block)
-        for whole, part in zip(_leaves(out), _leaves(block)):
-            whole[..., i : i + size] = part
-    return out
-
-
-def _map(f, tree):
-    """``f`` over the arrays of a tree of arrays, Jets, tuples and dicts."""
-    if isinstance(tree, Jet):
-        return Jet(f(tree.coeffs))
-    if isinstance(tree, np.ndarray):
-        return f(tree)
-    if isinstance(tree, dict):
-        return {k: _map(f, v) for k, v in tree.items()}
-    return tuple(_map(f, v) for v in tree)
-
-
-def _leaves(tree) -> list:
-    """The arrays of a tree, in the order of :func:`_map`."""
-    if isinstance(tree, (Jet, np.ndarray)):
-        return [tree.coeffs if isinstance(tree, Jet) else tree]
-    return [a for v in (tree.values() if isinstance(tree, dict) else tree) for a in _leaves(v)]
-
-
 def _jets(data: WeierstrassData, z):
-    """The one jet pass, G to order 3 and h to order 2 (all rho needs), and
-    the values q, h/G and hG of :func:`_values`."""
+    """The one jet pass: the Taylor coefficients of G to order 3 and of h to
+    order 2 (all rho needs), and the values q, h/G and hG of :func:`_values`."""
     jG, jh = eval_jet(data.G, z, 3), eval_jet(data.h, z, 2)
-    return (jG, jh, *_values(jG, jh))
+    return (jG.coeffs, jh.coeffs, *_values(jG, jh))
 
 
 def _values(jG, jh):
@@ -280,36 +247,32 @@ def _parts(jG, jh):
     mesh takes the jets of h/G and hG, :func:`_form_jets`, everywhere.
     """
     with np.errstate(all="ignore"):
-        return -jet_div(jet_mul(jh, jG.derivative_jet()), jG).value, *_form_jets(jG, jh)
+        return -jet_div(jet_mul(jh, jG.derivative_jet()), jG).value, *map(Jet, _form_jets(jG.coeffs, jh.coeffs))
 
 
-def _form_jets(jG, jh):
-    """The jets of h/G and hG of :func:`_parts`."""
+def _form_jets(c, d):
+    """The Taylor coefficients of h/G and hG of :func:`_parts`, from those c
+    of G and d of h."""
     with np.errstate(all="ignore"):
-        return jet_div(jh, jG), jet_mul(jh, jG)
+        return jet_div(Jet(d), Jet(c)).coeffs, jet_mul(Jet(d), Jet(c)).coeffs
 
 
-def _derivatives(jG, jh):
-    """(G, G', G'', G''', h, h', h'') from a jet of G (order >= 3) and of h (order >= 2)."""
-    c, d = jG.coeffs, jh.coeffs
-    return c[0], c[1], 2.0 * c[2], 6.0 * c[3], d[0], d[1], 2.0 * d[2]
-
-
-def _rho_and_scale(jG, jh):
+def _rho_and_scale(c, d):
     """rho and the largest magnitude of its eight terms, the scale of its
-    rounding error."""
+    rounding error, from the Taylor coefficients c of G (order >= 3) and d
+    of h (order >= 2)."""
     with np.errstate(all="ignore"):
-        terms = _rho_terms(*_derivatives(jG, jh))
+        terms = _rho_terms(c[0], c[1], 2.0 * c[2], 6.0 * c[3], d[0], d[1], 2.0 * d[2])
         rho = np.asarray(sum(terms[1:], terms[0]), dtype=np.complex128)
-        return rho, np.max([np.abs(t) for t in terms], axis=0)
+        return rho, reduce(np.maximum, map(np.abs, terms))
 
 
-def _circle_means(data: WeierstrassData, centers: np.ndarray) -> np.ndarray:
+def _circle_means(data: WeierstrassData, centers: np.ndarray) -> tuple:
     """Means of (q, h/G, hG, rho, q^2 rho) over a circle around each center.
 
-    Returns shape (5, len(centers)).  The discrete mean-value property has
-    aliasing error O((radius/R)^n), R the distance to the nearest
-    singularity.  A mean is NaN where the circle values are not finite or
+    Returns the five means, each shaped like ``centers``.  The discrete
+    mean-value property has aliasing error O((radius/R)^n), R the distance
+    to the nearest singularity.  A mean is NaN where the circle values are not finite or
     carry a negative Fourier mode e^{-ik theta}, 0 < k < n/2, above
     _ALIAS_RTOL of their largest magnitude: a function holomorphic on the
     disk has none but aliases of order (radius/R)^(n/2+1), while a pole in
@@ -317,8 +280,8 @@ def _circle_means(data: WeierstrassData, centers: np.ndarray) -> np.ndarray:
     of rho's eight terms is allowed for, so rho = 0 (Enneper) keeps its mean.
     """
     pts = centers[:, None] + _CIRCLE_RADIUS * np.exp(1j * _THETA)
-    jG, jh, q, r, p = _jets(data, pts)
-    rho, largest = _rho_and_scale(jG, jh)
+    c, d, q, r, p = _jets(data, pts)
+    rho, largest = _rho_and_scale(c, d)
     with np.errstate(all="ignore"):
         vals = np.stack([q, r, p, rho, q**2 * rho])
         mean = vals.mean(axis=-1)
@@ -326,7 +289,7 @@ def _circle_means(data: WeierstrassData, centers: np.ndarray) -> np.ndarray:
         bound = _ALIAS_RTOL * np.abs(vals).max(axis=-1)
         bound[3:] += _ROUNDING_RTOL * np.stack([largest, np.abs(q) ** 2 * largest]).max(axis=-1)
         ok = np.isfinite(vals).all(axis=-1) & (negative <= bound)
-    return np.where(ok, mean, np.nan)
+    return tuple(np.where(ok, mean, np.nan))
 
 
 class SurfaceFields:
@@ -339,7 +302,8 @@ class SurfaceFields:
     and ``form_jets`` are derived on first access; ``form_jets`` takes the
     jets of h/G and hG at every node.  Recovered nodes are filled in
     throughout, except in ``form_jets``; a field with none to fill is the
-    direct array itself.
+    direct array itself.  The bundle keeps the Taylor coefficients of G and
+    h as plain arrays, for ``rho`` and ``form_jets``.
     A scalar z is the one-point array [z], whose fields have shape (1,):
     numpy rounds 0-d complex arithmetic apart from the same operation
     inside an array.  Fields have the shape of z; its points are one flat array inside.
@@ -348,8 +312,8 @@ class SurfaceFields:
     def __init__(self, data: WeierstrassData, z):
         self._data = data
         self.z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        self._jG, self._jh, *direct = _by_blocks(partial(_jets, data), _BLOCK, self.z.reshape(-1))
-        self.G = self._jG.value.reshape(self.z.shape)
+        self._cG, self._ch, *direct = by_blocks(partial(_jets, data), _BLOCK, self.z.reshape(-1))
+        self.G = self._cG[0].reshape(self.z.shape)
         self._direct = q, r, p = tuple(v.reshape(self.z.shape) for v in direct)
         self._singular = ~(np.isfinite(q) & np.isfinite(r) & np.isfinite(p))
         qscale = max(float(np.abs(q[~self._singular]).max(initial=0.0)), 1.0)
@@ -362,13 +326,13 @@ class SurfaceFields:
         pass.  Circled are the singular nodes, those where the eight terms of
         rho cancel, and the umbilics, where |T-hat| extends continuously."""
         q, r, p = self._direct
-        rho, largest = (v.reshape(self.z.shape) for v in _by_blocks(_rho_and_scale, _BLOCK, self._jG, self._jh))
+        rho, largest = (v.reshape(self.z.shape) for v in by_blocks(_rho_and_scale, _BLOCK, self._cG, self._ch))
         with np.errstate(all="ignore"):
             curvature = 4.0 * np.abs(q) ** 2 / (np.abs(r) + np.abs(p)) ** 2  # |K| lambda^2
             cancels = ~(largest <= _CANCEL_RATIO * np.maximum(np.abs(rho), curvature))
         circled = self._singular | cancels | self._umbilic
         size = max(_BLOCK // _CIRCLE_POINTS, 1)
-        means = _by_blocks(partial(_circle_means, self._data), size, self.z[circled]) if circled.any() else None
+        means = by_blocks(partial(_circle_means, self._data), size, self.z[circled]) if circled.any() else None
         return rho, circled, means
 
     def _recover(self, part: int, direct, nodes) -> np.ndarray:
@@ -392,11 +356,11 @@ class SurfaceFields:
         of the Weierstrass 1-forms and their first two derivatives, direct
         (not recovered).  Where h/G has a value but lost orders to a
         vanishing G, those nodes alone take a jet of the expression h/G."""
-        r, p = _by_blocks(_form_jets, _BLOCK, self._jG, self._jh)
-        short = np.isfinite(r.value) & ~np.isfinite(r.coeffs).all(axis=0)
+        r, p = by_blocks(_form_jets, _BLOCK, self._cG, self._ch)
+        short = np.isfinite(r[0]) & ~np.isfinite(r).all(axis=0)
         if short.any():
-            r.coeffs[:, short] = eval_jet(self._data.h / self._data.G, self.z.reshape(-1)[short], r.order).coeffs
-        return tuple(Jet(j.coeffs.reshape((-1,) + self.z.shape)) for j in (r, p, self._jh))
+            r[:, short] = eval_jet(self._data.h / self._data.G, self.z.reshape(-1)[short], len(r) - 1).coeffs
+        return tuple(Jet(c.reshape((-1,) + self.z.shape)) for c in (r, p, self._ch))
 
     @cached_property
     def metric(self) -> dict:
@@ -427,13 +391,13 @@ class SurfaceFields:
 
 def metric_fields(data: WeierstrassData, z):
     """lambda^2, K, u, |A|^2 at the points z, in its shape (NaN where singular)."""
-    metric = _by_blocks(lambda b: SurfaceFields(data, b).metric, _BLOCK, np.ravel(z))
-    return {k: v.reshape(np.shape(z)) for k, v in metric.items()}
+    metric = by_blocks(lambda b: tuple(SurfaceFields(data, b).metric.values()), _BLOCK, np.ravel(z))
+    return {k: v.reshape(np.shape(z)) for k, v in zip(("lambda_sq", "K", "u", "A_norm_sq"), metric)}
 
 
 def hopf_field(data: WeierstrassData, z):
     """Hopf coefficient q = -h G'/G at the points z, in its shape."""
-    return _by_blocks(lambda b: SurfaceFields(data, b).q, _BLOCK, np.ravel(z)).reshape(np.shape(z))
+    return by_blocks(lambda b: (SurfaceFields(data, b).q,), _BLOCK, np.ravel(z))[0].reshape(np.shape(z))
 
 
 def entropy_field(data: WeierstrassData, z):

@@ -121,6 +121,16 @@ def test_reconstruct_prints_one_row_per_path_vertex(tmp_path):
     assert zs == [0.0] + [reach * t for t in np.linspace(0.5, 1.0, 2)]
 
 
+@pytest.mark.parametrize("rho", ["-z", "-(1)"])
+def test_reconstruct_takes_a_rho_with_a_leading_minus_as_a_value(tmp_path, rho):
+    def out_bytes(*argv):
+        out = tmp_path / "out.json"
+        assert main([*argv, "--samples", "2", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert out_bytes("reconstruct", "--rho", rho) == out_bytes("reconstruct", f"--rho={rho}")
+
+
 def test_reconstruct_on_a_path_of_repeated_vertices(tmp_path):
     # a domain whose corner is 0 puts every sample at the base point
     code, doc = _run(tmp_path, "reconstruct", "--rho=-1", "--domain=-1,0,-1,0", "--samples", "3")

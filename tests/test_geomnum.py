@@ -9,6 +9,7 @@ from entropydiff.geomnum import (
     RectDomain,
     STRIP_MAX_NODES,
     ScalarField,
+    by_blocks,
     integrate2d,
     integrate_segment,
     integrate_strip,
@@ -205,6 +206,57 @@ def test_integrand_calls_stay_under_the_point_cap():
     sizes.clear()
     integrate_segment(_counting(lambda z: np.exp(40j * z), sizes), 0.0, 10.0, tol=1e-12)
     assert 144 < max(sizes) <= 1152
+
+
+def test_by_blocks_joins_blocks_into_the_arrays_of_one_call():
+    rng = np.random.default_rng(29)
+    a = rng.normal(size=(2, 3, 23)) + 1j * rng.normal(size=(2, 3, 23))
+    b = rng.normal(size=23)
+    returned = []
+
+    def stage(x, y):
+        out = (np.exp(x) * y, np.abs(x).sum(axis=0) > 1.0, (3.0 * y).astype(np.float32))
+        returned.append(out)
+        return out
+
+    whole = by_blocks(stage, 23, a, b)  # one block: the stage's own arrays, no copy
+    assert len(returned) == 1 and all(w is r for w, r in zip(whole, returned[0]))
+    for size in (1, 5, 22):  # 5 leaves a short last block of 3
+        returned.clear()
+        blocked = by_blocks(stage, size, a, b)
+        assert len(returned) == -(-23 // size)
+        assert [(v.dtype, v.shape) for v in blocked] == [(v.dtype, v.shape) for v in whole]
+        assert [v.tobytes() for v in blocked] == [v.tobytes() for v in whole]
+
+
+def _peak(zs):
+    return 1.0 / (np.abs(zs - 0.3 - 0.6j) + 1e-2)
+
+
+@pytest.mark.parametrize(
+    "integrate, exact",
+    [
+        (lambda: integrate2d(_peak, RectDomain(0, 1, 0, 1), tol=1e-8), False),
+        (lambda: integrate_segment(lambda zs: np.stack([np.exp(4j * zs), _peak(zs)]), 0.0, 1.0 + 1.0j, tol=1e-12), False),
+        (lambda: integrate_strip(_strip_density, 0.0, 2 * np.pi, tol=1e-11), True),
+    ],
+    ids=["2d", "segment", "strip"],
+)
+def test_small_integrand_calls_give_the_numbers_of_the_default_calls(monkeypatch, integrate, exact):
+    want = integrate()
+    monkeypatch.setattr("entropydiff.geomnum._CALL_POINTS", 288)  # two 2-D panels, 19 segment panels a call
+    monkeypatch.setattr("entropydiff.geomnum._STRIP_CALL_POINTS", 100)
+    got = integrate()
+    assert (got.panels, got.diagnostics) == (want.panels, want.diagnostics)
+    if exact:
+        assert (np.asarray(got.value).tobytes(), got.error) == (np.asarray(want.value).tobytes(), want.error)
+    else:
+        # a panel's sum is a BLAS matrix-vector product, whose rounding can
+        # depend on the panel's place in its call (rows summed in groups),
+        # so the two agree to rounding, the engine's floor of 8 eps |I|
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(got.value, want.value, rtol=4 * eps, atol=0)
+        assert abs(got.error - want.error) <= 8 * eps * np.abs(want.value).max()
 
 
 def test_budget_is_checked_before_a_level_is_evaluated():

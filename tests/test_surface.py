@@ -91,6 +91,17 @@ def test_inverse_stereographic_convention():
     # equator: |G| = 1 maps to the z = 0 circle
     g = np.exp(1j * np.linspace(0, 2 * np.pi, 9))
     assert np.abs(inverse_stereographic(g)[..., 2]).max() < 1e-15
+    # exact bits, signed zeros included: NaN is the north pole, and a signed
+    # zero G keeps its signs on the south pole
+    nan = np.nan
+    exact = [
+        (complex(nan, 0.0), (0.0, -0.0, 1.0)), (complex(0.0, nan), (0.0, -0.0, 1.0)),
+        (complex(nan, nan), (0.0, -0.0, 1.0)),
+        (complex(0.0, 0.0), (0.0, 0.0, -1.0)), (complex(-0.0, 0.0), (-0.0, 0.0, -1.0)),
+        (complex(0.0, -0.0), (0.0, -0.0, -1.0)), (complex(-0.0, -0.0), (-0.0, -0.0, -1.0)),
+    ]
+    got = inverse_stereographic(np.array([g for g, _ in exact]))
+    assert got.tobytes() == np.array([n for _, n in exact]).tobytes()
 
 
 def test_catenoid_mesh_positions_and_normals():
