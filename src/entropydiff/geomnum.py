@@ -267,9 +267,11 @@ def _adaptive(g, d: int, tol: float, max_panels: int, what: str):
     on the order panels are evaluated in; the budget is checked before a
     level is evaluated, and a ``tol`` not above the rounding floor
     8 eps max|first estimate| is refused after the first level.  A
-    non-finite value of ``g`` raises NoConvergence at once.
-    Accepted values are summed level by level in panel order.  Returns
-    (value, error, panels).
+    non-finite value of ``g`` raises NoConvergence at once.  A panel's rule
+    is a product by the weights and a sum over its nodes, not a BLAS
+    product, whose rounding may depend on the panel's place in its call and
+    on the BLAS build.  Accepted values are summed level by level in panel
+    order.  Returns (value, error, panels).
     """
     nodes, weights = _rule(d)
     offsets = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # children, axis 0 fastest
@@ -281,7 +283,7 @@ def _adaptive(g, d: int, tol: float, max_panels: int, what: str):
             finite = np.isfinite(v)
             if not finite.all():  # a panel with such a value is never accepted, so refining it spends the budget
                 raise NoConvergence(f"{what}: the integrand is not finite at {np.count_nonzero(~finite)} of {v.size} nodes")
-            return ((0.5 * h) ** d * (v.reshape(v.shape[:-1] + (c.shape[1], -1)) @ weights),)
+            return ((0.5 * h) ** d * (v.reshape(v.shape[:-1] + (c.shape[1], -1)) * weights).sum(axis=-1),)
 
         return by_blocks(stage, per_call, (corners + 0.5 * h).T)[0]
 

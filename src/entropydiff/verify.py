@@ -233,12 +233,14 @@ def run_checks(names, data: WeierstrassData, grid: UniformGrid, surface=None, t=
 
     ricci, ecritical and soliton test ``data`` and share one metric of it on
     ``grid``; liouville tests the catalog ``surface`` and ht-period H_t at
-    ``t`` (``surface`` must be deformed-helicoid).  An unknown name, or a
-    surface a check cannot test, raises ValueError.
+    ``t`` (``surface`` must be deformed-helicoid).  liouville runs first, so
+    the peak memory is the larger of its own and the shared metric's, not
+    their sum.  An unknown name, or a surface a check cannot test, raises
+    ValueError.
     """
     shared = None
     reports = []
-    for name in names:
+    for name in sorted(names, key=lambda n: n != "liouville"):
         if name in ("ricci", "ecritical", "soliton"):
             shared = shared or _GridMetric.of(data, grid)
             reports.append(shared.report(name))

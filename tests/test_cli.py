@@ -594,6 +594,48 @@ def test_a_usage_error_ends_in_the_error_document(capsys, argv):
     assert err == ""
 
 
+_SEQUENCE = [  # calls whose defaults a shared parser must not carry over
+    ("verify", "--surface", "catenoid", "--checks", "soliton", "--delta", "0.1"),
+    ("verify", "--surface", "catenoid", "--delta", "0.1"),
+    ("reconstruct", "--rho", "1", "--samples", "3", "--grid", "8x8", "--obj", "{obj}"),
+    ("reconstruct", "--rho", "1", "--samples", "3"),
+    ("analyze", "--grid"),  # a usage error
+    ("norm", "--surface", "catenoid", "--tol", "1e-3"),
+]
+
+
+def _run_sequence(tmp_path, capsys) -> list:
+    """Each call of ``_SEQUENCE`` in turn: its exit code, what it wrote to
+    stdout and stderr, and the bytes of its --out and --obj files."""
+    runs = []
+    for argv in _SEQUENCE:
+        paths = [tmp_path / "out.json", tmp_path / "r.obj"]
+        for p in paths:
+            p.unlink(missing_ok=True)
+        try:
+            code = main([a.replace("{obj}", str(paths[1])) for a in argv] + ["--out", str(paths[0])])
+        except SystemExit as exc:
+            code = exc.code
+        runs.append((code, tuple(capsys.readouterr()), [p.read_bytes() if p.exists() else None for p in paths]))
+    return runs
+
+
+def test_calls_that_share_the_parser_write_the_bytes_of_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    shared = _run_sequence(tmp_path, capsys)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a new parser every call
+    assert _run_sequence(tmp_path, capsys) == shared
+    soliton, plain, mesh, no_mesh, usage, norm = shared
+    assert [r["check"] for r in json.loads(plain[2][0])["reports"]] == ["ecritical", "ricci"]
+    assert "obj" in json.loads(mesh[2][0])
+    assert "obj" not in json.loads(no_mesh[2][0]) and no_mesh[2][1] is None
+    assert usage[0] == 1 and json.loads(usage[1][0])["error"]["code"] == "bad-input"
+    assert norm[0] == 0 and "error" not in json.loads(norm[2][0])
+
+
+def test_every_call_takes_the_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def _child_env():
     """The environment of a child interpreter that finds the package as this
     process does, with or without PYTHONPATH."""
@@ -645,3 +687,13 @@ def test_cli_import_leaves_scipy_out(module):
     probe = f"import sys, entropydiff.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=_child_env())
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_builds_no_parser():
+    # the first main call builds it, so importing the CLI costs no more than before
+    import subprocess
+    import sys
+
+    probe = "import entropydiff.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=_child_env())
+    assert out.stdout.strip() == "0"

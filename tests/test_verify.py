@@ -1,5 +1,7 @@
 """Verification-suite tests: every identity check on model data."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,22 @@ def test_stencil_checks_pass_by_their_observed_order(name, delta):
             assert rep.passed == (name == "enneper")
         else:
             assert rep.passed and 1.8 <= rep.statistics["observed_order"] <= 2.2, rep.to_dict()
+
+
+def test_liouville_never_runs_beside_the_shared_metric():
+    # run after soliton, with the metric still held, the four checks peaked at 7.65 MB on 201^2
+    grid = RectDomain.square(1.0).grid(201, 201)
+
+    def peak_mb(names):
+        tracemalloc.start()
+        try:
+            run_checks(names, CATALOG["catenoid"].data, grid, "catenoid")
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    alone = max(peak_mb(["ricci", "ecritical", "soliton"]), peak_mb(["liouville"]))
+    assert peak_mb(["ricci", "ecritical", "soliton", "liouville"]) < 1.05 * alone
 
 
 def test_liouville_reports_the_steps_of_its_hill_march():
