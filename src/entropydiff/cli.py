@@ -39,11 +39,11 @@ from .jets import AnalyticExpr, parse_expression
 from .models import MODEL_NAMES, get_model
 from .surface import sample_mesh, spinor_mesh, write_obj, write_sidecar
 from .verify import hill_round_trip, run_checks, weighted_entropy_norm
-from .weierstrass import SurfaceFields, WeierstrassData
+from .weierstrass import WeierstrassData, fields_of
 
 SCHEMA_VERSION = 1
 T_CLAMP = 1e-3
-MAX_GRID_NODES = 1 << 20  # 1024x1024; analyze peaks near 105 MB at 512x512, 325 MB at 1024x1024
+MAX_GRID_NODES = 1 << 20  # 1024x1024; analyze peaks near 69 MB at 512x512, 180 MB at 1024x1024
 MAX_SAMPLES = 10_000  # reconstruct --samples; about 0.6 s and 3 MB of JSON
 
 
@@ -287,10 +287,8 @@ def cmd_analyze(args) -> dict:
     data, params = _surface_from_args(args)
     nx, ny = _parse_grid(args.grid)
     grid = data.domain.grid(nx, ny)
-    f = SurfaceFields(data, grid.zs)
-    mf, q, rho = f.metric, f.q, f.rho
-    T, That = f.norms
-    K = mf["K"]
+    lambda_sq, K, q, rho, T, That = fields_of(data, grid.zs, lambda f: (
+        f.metric["lambda_sq"], f.metric["K"], f.q, f.rho, *f.norms))
     finiteK = K[np.isfinite(K)]
     if not finiteK.size:
         raise DegeneratePoint("the curvature K is not finite at any grid node")
@@ -309,7 +307,7 @@ def cmd_analyze(args) -> dict:
             "max_That_norm": float(np.fmax.reduce(np.where(np.isfinite(That), That, np.nan), axis=None)),
         },
         "fields": {
-            "lambda_sq": mf["lambda_sq"],
+            "lambda_sq": lambda_sq,
             "K": K,
             "q_re": q.real,
             "q_im": q.imag,

@@ -5,7 +5,7 @@ difference operators in conformal metrics, and one deterministic adaptive
 Gauss-Legendre engine on the unit box, evaluated a level at a time, that
 serves 2-D panels and 1-D complex line segments, and a nested trapezoid
 rule for densities on a whole periodic strip.  :func:`by_blocks` splits
-their integrand calls, and the field bundle's pointwise stages, into blocks.
+the engine's integrand calls, and the field readers' point sets, into blocks.
 """
 
 from __future__ import annotations
@@ -353,7 +353,6 @@ def integrate_segment(f, a: complex, b: complex, tol: float = 1e-10, max_panels:
 STRIP_X_CAP = 30.0  # |x| of the outermost rows; C_t's fields lose digits beyond it
 STRIP_START = (16, 48)  # s-steps per half-range and y-nodes of the first grid
 STRIP_MAX_NODES = 1 << 17  # density evaluations before NoConvergence; ~0.15 s of SurfaceFields (2-core Xeon)
-_STRIP_CALL_POINTS = 1 << 14  # most points per density call
 
 
 def integrate_strip(density, y0: float, period: float, tol: float = 1e-8) -> QuadratureResult:
@@ -373,8 +372,9 @@ def integrate_strip(density, y0: float, period: float, tol: float = 1e-8) -> Qua
     halved, and only the new rows or columns are evaluated.  Halving h only
     raises the truncation bound, so a bound over ``tol`` raises
     NoConvergence at once; so do a non-finite density value and a
-    refinement past STRIP_MAX_NODES nodes.  ``diagnostics`` holds the nodes
-    evaluated, the halvings in x and y, and the truncation bound.
+    refinement past STRIP_MAX_NODES nodes.  ``density`` takes each batch of
+    new nodes in one call, and blocks them itself if it must.  ``diagnostics``
+    holds the nodes evaluated, the halvings in x and y, and the truncation bound.
     """
     s_max = math.asinh(math.asinh(STRIP_X_CAP) / (0.5 * math.pi))
     n, ny = STRIP_START
@@ -387,7 +387,7 @@ def integrate_strip(density, y0: float, period: float, tol: float = 1e-8) -> Qua
         nodes += s.size * y.size
         u = 0.5 * math.pi * np.sinh(s)
         zs = (np.sinh(u)[None, :] + 1j * y[:, None]).reshape(-1)
-        v = by_blocks(lambda b: (np.asarray(density(b), dtype=np.float64),), _STRIP_CALL_POINTS, zs)[0]
+        v = np.asarray(density(zs), dtype=np.float64)
         if not np.isfinite(v).all():
             bad = zs[~np.isfinite(v)][0]
             raise NoConvergence(f"strip quadrature: density not finite at z = {bad.real:.17g}{bad.imag:+.17g}j")

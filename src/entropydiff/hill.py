@@ -164,12 +164,12 @@ def _hill_series(r, w, wp, order: int) -> np.ndarray:
     return c
 
 
-def _position_increments(c: np.ndarray, h: complex) -> np.ndarray:
-    """Integrals over one step h of the Weierstrass 1-forms of the pair,
-    whose h/G, hG and h are -2 w1^2, -2 w2^2 and -2 w1 w2: term by term
-    from the Taylor coefficients ``c`` of (w1, w2)."""
-    m = np.tensordot(h**_SPANS / _SPANS, c, axes=1)
-    s11, s22, s12 = ((c[:, a] * m[:, b]).sum(axis=0) for a, b in ((0, 0), (1, 1), (0, 1)))
+def _position_increments(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Integrals over [0, t] of the Weierstrass 1-forms of the pair (h/G,
+    hG and h are -2 w1^2, -2 w2^2 and -2 w1 w2), shape (3, T, columns) for
+    the T offsets ``t``: term by term from the Taylor coefficients ``c``."""
+    m = np.tensordot(t[:, None, None] ** _SPANS / _SPANS, c, axes=1)
+    s11, s22, s12 = ((c[:, a] * m[:, :, b]).sum(axis=1) for a, b in ((0, 0), (1, 1), (0, 1)))
     return weierstrass_forms(-2.0 * s11, -2.0 * s22, -2.0 * s12)
 
 
@@ -226,14 +226,15 @@ def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, nodes=(), out=No
             err = float(np.max(tail / (DEFAULT_ATOL + DEFAULT_RTOL * np.maximum(np.abs(y[:4]), np.abs(new)))))
             if err <= 1.0:
                 end = len(at) if last else int(np.searchsorted(at, s + frac))  # the nodes before the step's end
+                t = nodes[k:end] - s * dz
+                if len(y) > 4:  # the positions at the step's nodes and at its end, in one evaluation
+                    x = y[4:, None] + _position_increments(c, np.append(t, h))
+                    new = np.concatenate([new, x[:, -1]])
                 if end > k:
-                    t = nodes[k:end] - s * dz
                     out[:4, k:end] = np.moveaxis(np.tensordot(_weights(t), c, axes=1), 1, 2).reshape(4, len(t), -1)
                     if len(y) > 4:
-                        out[4:, k:end] = y[4:, None] + np.stack([_position_increments(c, ti) for ti in t], axis=1)
+                        out[4:, k:end] = x[:, :-1]
                     k = end
-                if len(y) > 4:
-                    new = np.concatenate([new, y[4:] + _position_increments(c, h)])
         if err <= 1.0:
             y = new
             steps += 1

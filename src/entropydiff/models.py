@@ -23,7 +23,7 @@ import numpy as np
 from .geomnum import RectDomain
 from .jets import Z, const, exp
 from .surface import immersion_point
-from .weierstrass import SurfaceFields, WeierstrassData
+from .weierstrass import WeierstrassData, fields_of
 
 __all__ = [
     "FamilyRelation",
@@ -179,8 +179,7 @@ def family_relation_residual(m: ModelSurface, grid=None) -> float:
     if grid is None:
         grid = m.data.domain.grid(32, 32)
     zs = grid.zs if hasattr(grid, "zs") else np.asarray(grid, dtype=np.complex128)
-    f = SurfaceFields(m.data, zs)
-    resid = np.abs(0.5 * f.rho - m.expected_relation.coefficient * f.q)
+    (resid,) = fields_of(m.data, zs, lambda f: (np.abs(0.5 * f.rho - m.expected_relation.coefficient * f.q),))
     valid = np.isfinite(resid)
     if not valid.any():
         raise ValueError("no valid grid nodes for the family relation")

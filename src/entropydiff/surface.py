@@ -7,7 +7,7 @@ export to ASCII OBJ (v/vn/f, ``%.9g``) with a compact JSON vertex sidecar,
 whose numbers the text module ``_text`` writes a block at a time; it is
 imported on first use.
 
-A mesh takes one :class:`~entropydiff.weierstrass.SurfaceFields` pass.  Its
+A mesh takes one :func:`~entropydiff.weierstrass.fields_of` pass.  Its
 jets of h/G, hG and h give the integrand f and f', f'' at every node, and
 each grid edge d = z_b - z_a is integrated by the two-point Hermite rules
 
@@ -32,7 +32,7 @@ from .errors import PoleOnPath
 from .geomnum import RectDomain, UniformGrid, integrate_segment
 from .hill import spinor_metric
 from .jets import AnalyticExpr, eval_jet, jet_div, jet_mul
-from .weierstrass import SurfaceFields, WeierstrassData, norms_from, weierstrass_forms
+from .weierstrass import WeierstrassData, fields_of, norms_from, weierstrass_forms
 
 __all__ = [
     "ImmersionPoint",
@@ -224,38 +224,32 @@ def sample_mesh(data: WeierstrassData, resolution, domain: RectDomain | None = N
     nx, ny = resolution
     grid = (domain or data.domain).grid(nx, ny)
     zs = grid.zs
-    fields = SurfaceFields(data, zs)
-    pole = ~(np.isfinite(fields.h_over_G) & np.isfinite(fields.hG))
+    G, h_over_G, hG, K, T, That, forms = fields_of(data, zs, lambda f: (
+        f.G, f.h_over_G, f.hG, f.metric["K"], *f.norms, weierstrass_forms(*(j.coeffs for j in f.form_jets))))
+    pole = ~(np.isfinite(h_over_G) & np.isfinite(hG))
     if pole.any():
         raise PoleOnPath(f"the Weierstrass data has a pole at the mesh node z = {zs[pole][0]}")
-
-    r, p, h = (j.coeffs for j in fields.form_jets)
-
-    def row_jets(j):
-        """Taylor coefficients (component, order, node) of the integrand on row j."""
-        return weierstrass_forms(r[:, j], p[:, j], h[:, j])
 
     f = weierstrass_integrand(data)
     positions = np.empty((ny, nx, 3), dtype=np.float64)
     positions[0, 0] = 0.0
     # bottom row, left to right, then all columns bottom to top
-    below = row_jets(0)
+    below = forms[:, :, 0]
     row = np.cumsum(_edges(f, zs[0, :-1], zs[0, 1:], below[..., :-1], below[..., 1:], SEGMENT_TOL), axis=1)
     positions[0, 1:] = np.real(row).T
     col_acc = positions[0].astype(np.complex128).T  # (3, nx)
     for j in range(1, ny):
-        above = row_jets(j)
+        above = forms[:, :, j]
         col_acc = col_acc + _edges(f, zs[j - 1], zs[j], below, above, SEGMENT_TOL)
         positions[j] = np.real(col_acc).T
         below = above
 
-    T, That = fields.norms
     return SurfaceMesh(
         grid=grid,
         zs=zs,
         positions=positions,
-        normals=inverse_stereographic(fields.G),
-        K=fields.metric["K"],
+        normals=inverse_stereographic(G),
+        K=K,
         T_norm=T,
         That_norm=That,
         faces=grid_faces(ny, nx),

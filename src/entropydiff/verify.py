@@ -53,7 +53,7 @@ from .hill import (
 from .jets import AnalyticExpr, eval_jet, parse_expression
 from .models import deformed_helicoid
 from .surface import SurfaceMesh, period_vector
-from .weierstrass import SurfaceFields, WeierstrassData, entropy_field, metric_fields
+from .weierstrass import WeierstrassData, entropy_field, fields_of, metric_fields
 
 __all__ = [
     "TOLERANCES",
@@ -236,22 +236,24 @@ def run_checks(names, data: WeierstrassData, grid: UniformGrid, surface=None, t=
     ``t`` (``surface`` must be deformed-helicoid).  liouville runs first, so
     the peak memory is the larger of its own and the shared metric's, not
     their sum.  An unknown name, or a surface a check cannot test, raises
-    ValueError.
+    ValueError before any check runs.
     """
+    names = sorted(names, key=lambda n: n != "liouville")
+    for name in names:  # liouville, which runs first, refuses its own surface
+        if name == "ht-period" and (surface != "deformed-helicoid" or t is None):
+            raise ValueError("ht-period measures H_t: it needs the deformed-helicoid surface and its t")
+        if name not in ("ricci", "ecritical", "soliton", "liouville", "ht-period"):
+            raise ValueError(f"unknown check {name!r}")
     shared = None
     reports = []
-    for name in sorted(names, key=lambda n: n != "liouville"):
-        if name in ("ricci", "ecritical", "soliton"):
-            shared = shared or _GridMetric.of(data, grid)
-            reports.append(shared.report(name))
-        elif name == "liouville":
+    for name in names:
+        if name == "liouville":
             reports.append(liouville_check(surface, grid))
         elif name == "ht-period":
-            if surface != "deformed-helicoid" or t is None:
-                raise ValueError("ht-period measures H_t: it needs the deformed-helicoid surface and its t")
             reports.append(ht_period_check(t))
         else:
-            raise ValueError(f"unknown check {name!r}")
+            shared = shared or _GridMetric.of(data, grid)
+            reports.append(shared.report(name))
     return sorted(reports, key=lambda r: r.check_name)
 
 
@@ -450,9 +452,8 @@ def weighted_entropy_norm(data: WeierstrassData, domain: RectDomain | None = Non
     """
 
     def density(zs):
-        f = SurfaceFields(data, zs)
         with np.errstate(all="ignore"):  # an overflowed metric gives inf * 0 = NaN, which the quadrature refuses
-            return np.sqrt(np.maximum(f.norms[1], 0.0)) * f.metric["lambda_sq"]
+            return fields_of(data, zs, lambda f: (np.sqrt(np.maximum(f.norms[1], 0.0)) * f.metric["lambda_sq"],))[0]
 
     if domain is None and data.periodic_y is not None:
         y0 = data.domain.y0

@@ -12,9 +12,9 @@ and one jet of h (order 2):
 
 with rho the eight-term rational combination of G', G'', G''', h', h''.
 :class:`SurfaceFields` takes both jets once per point set; rho and the
-norms |T|, |T-hat| are derived only when read.  Its pointwise stages run
-on blocks of _BLOCK points (:func:`~entropydiff.geomnum.by_blocks`) and
-give plain arrays; the masks and the recovery see the whole set.
+norms |T|, |T-hat| are derived only when read.  Every field at a point
+depends on that point alone, so blocks are the readers' business: every
+reader goes through :func:`fields_of`, one bundle per block of _BLOCK points.
 
 Removable singularities of the displayed quotients (e.g. G and h vanishing
 together) are absorbed by jet cancellation, at the nodes where G's value is
@@ -23,8 +23,8 @@ eight terms of rho still cancel near those singularities.  One mask flags
 the nodes where q, h/G or hG is non-finite or those terms cancel, and one
 jet pass over small circles around them recovers the fields there by the
 mean-value property; every other node keeps its direct value.  Umbilics
-(q = 0) keep their direct rho, a double pole (|T| = inf), while |T-hat|
-comes from the circle mean of the holomorphic product q^2 rho.
+(|q| <= _UMBILIC_ATOL) keep their direct rho, a double pole (|T| = inf),
+while |T-hat| comes from the circle mean of the holomorphic product q^2 rho.
 
 Field functions (suffix ``_fields``/``_field``) evaluate whole grids of
 points at once and mark failures with NaN; the sample functions evaluate
@@ -48,6 +48,7 @@ __all__ = [
     "WeierstrassData",
     "MetricSample",
     "SurfaceFields",
+    "fields_of",
     "metric_fields",
     "metric_sample",
     "hopf_field",
@@ -68,8 +69,8 @@ __all__ = [
 # tests cross-check it against componentwise contraction).
 _T_NORM_FACTOR = 1.0 / math.sqrt(2.0)
 
-# Relative threshold for "the Hopf coefficient vanishes" (umbilic point).
-_UMBILIC_RTOL = 1e-9
+# |q| at or below which a node is an umbilic (the Hopf coefficient vanishes).
+_UMBILIC_ATOL = 1e-9
 
 # rho is recovered where its largest term exceeds _CANCEL_RATIO times
 # max(|rho|, |K| lambda^2); the second keeps rho = 0 (Enneper) from flagging
@@ -303,21 +304,20 @@ class SurfaceFields:
     jets of h/G and hG at every node.  Recovered nodes are filled in
     throughout, except in ``form_jets``; a field with none to fill is the
     direct array itself.  The bundle keeps the Taylor coefficients of G and
-    h as plain arrays, for ``rho`` and ``form_jets``.
+    h as plain arrays, for ``rho`` and ``form_jets``, and no state of the
+    set as a whole; :func:`fields_of` gives it one block at a time.
     A scalar z is the one-point array [z], whose fields have shape (1,):
     numpy rounds 0-d complex arithmetic apart from the same operation
-    inside an array.  Fields have the shape of z; its points are one flat array inside.
+    inside an array.  Fields have the shape of z.
     """
 
     def __init__(self, data: WeierstrassData, z):
         self._data = data
         self.z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        self._cG, self._ch, *direct = by_blocks(partial(_jets, data), _BLOCK, self.z.reshape(-1))
-        self.G = self._cG[0].reshape(self.z.shape)
-        self._direct = q, r, p = tuple(v.reshape(self.z.shape) for v in direct)
+        self._cG, self._ch, q, r, p = _jets(data, self.z)
+        self._direct, self.G = (q, r, p), self._cG[0]
         self._singular = ~(np.isfinite(q) & np.isfinite(r) & np.isfinite(p))
-        qscale = max(float(np.abs(q[~self._singular]).max(initial=0.0)), 1.0)
-        self._umbilic = ~self._singular & (np.abs(q) <= _UMBILIC_RTOL * qscale)
+        self._umbilic = ~self._singular & (np.abs(q) <= _UMBILIC_ATOL)
         self.q, self.h_over_G, self.hG = (self._recover(i, v, self._singular) for i, v in enumerate((q, r, p)))
 
     @cached_property
@@ -326,7 +326,7 @@ class SurfaceFields:
         pass.  Circled are the singular nodes, those where the eight terms of
         rho cancel, and the umbilics, where |T-hat| extends continuously."""
         q, r, p = self._direct
-        rho, largest = (v.reshape(self.z.shape) for v in by_blocks(_rho_and_scale, _BLOCK, self._cG, self._ch))
+        rho, largest = _rho_and_scale(self._cG, self._ch)
         with np.errstate(all="ignore"):
             curvature = 4.0 * np.abs(q) ** 2 / (np.abs(r) + np.abs(p)) ** 2  # |K| lambda^2
             cancels = ~(largest <= _CANCEL_RATIO * np.maximum(np.abs(rho), curvature))
@@ -356,11 +356,11 @@ class SurfaceFields:
         of the Weierstrass 1-forms and their first two derivatives, direct
         (not recovered).  Where h/G has a value but lost orders to a
         vanishing G, those nodes alone take a jet of the expression h/G."""
-        r, p = by_blocks(_form_jets, _BLOCK, self._cG, self._ch)
+        r, p = _form_jets(self._cG, self._ch)
         short = np.isfinite(r[0]) & ~np.isfinite(r).all(axis=0)
         if short.any():
-            r[:, short] = eval_jet(self._data.h / self._data.G, self.z.reshape(-1)[short], len(r) - 1).coeffs
-        return tuple(Jet(c.reshape((-1,) + self.z.shape)) for c in (r, p, self._ch))
+            r[:, short] = eval_jet(self._data.h / self._data.G, self.z[short], len(r) - 1).coeffs
+        return Jet(r), Jet(p), Jet(self._ch)
 
     @cached_property
     def metric(self) -> dict:
@@ -385,29 +385,34 @@ class SurfaceFields:
 
 
 # ---------------------------------------------------------------------------
-# Field views (the metric and q, which read no mask, by one bundle per block)
-# and single-point samples
+# The blocked reader, the field views on it, and single-point samples
 # ---------------------------------------------------------------------------
+
+def fields_of(data: WeierstrassData, z, pick) -> tuple:
+    """The arrays ``pick(SurfaceFields(data, block))`` gives on the blocks of
+    _BLOCK points of z, joined; each has its own leading axes, then z's shape."""
+    out = by_blocks(lambda b: tuple(pick(SurfaceFields(data, b))), _BLOCK, np.ravel(z))
+    return tuple(v.reshape(v.shape[:-1] + np.shape(z)) for v in out)
+
 
 def metric_fields(data: WeierstrassData, z):
     """lambda^2, K, u, |A|^2 at the points z, in its shape (NaN where singular)."""
-    metric = by_blocks(lambda b: tuple(SurfaceFields(data, b).metric.values()), _BLOCK, np.ravel(z))
-    return {k: v.reshape(np.shape(z)) for k, v in zip(("lambda_sq", "K", "u", "A_norm_sq"), metric)}
+    return dict(zip(("lambda_sq", "K", "u", "A_norm_sq"), fields_of(data, z, lambda f: f.metric.values())))
 
 
 def hopf_field(data: WeierstrassData, z):
     """Hopf coefficient q = -h G'/G at the points z, in its shape."""
-    return by_blocks(lambda b: (SurfaceFields(data, b).q,), _BLOCK, np.ravel(z))[0].reshape(np.shape(z))
+    return fields_of(data, z, lambda f: (f.q,))[0]
 
 
 def entropy_field(data: WeierstrassData, z):
     """Entropy coefficient rho at the points z, in its shape (non-finite at umbilics)."""
-    return SurfaceFields(data, z).rho.reshape(np.shape(z))
+    return fields_of(data, z, lambda f: (f.rho,))[0]
 
 
 def norm_fields(data: WeierstrassData, z):
     """(|T|_g, |T-hat|_g) at the points z, in its shape."""
-    return tuple(v.reshape(np.shape(z)) for v in SurfaceFields(data, z).norms)
+    return fields_of(data, z, lambda f: f.norms)
 
 
 def _at_point(data: WeierstrassData, z) -> SurfaceFields:
@@ -455,7 +460,8 @@ def entropy_coefficient(data: WeierstrassData, z: complex) -> complex:
     a Gauss-map pole of a regular surface is recovered).
     """
     f = _at_point(data, z)
-    if abs(_hopf_at(f)) <= _UMBILIC_RTOL:  # raises PoleAtPoint on data poles
+    _hopf_at(f)  # raises PoleAtPoint on data poles
+    if f._umbilic[0]:
         raise UmbilicPoint(f"umbilic point at {z}: entropy differential has a double pole")
     rho = complex(f.rho[0])
     if not np.isfinite(rho):

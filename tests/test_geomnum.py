@@ -238,16 +238,14 @@ def _peak(zs):
     [
         lambda: integrate2d(_peak, RectDomain(0, 1, 0, 1), tol=1e-8),
         lambda: integrate_segment(lambda zs: np.stack([np.exp(4j * zs), _peak(zs)]), 0.0, 1.0 + 1.0j, tol=1e-12),
-        lambda: integrate_strip(_strip_density, 0.0, 2 * np.pi, tol=1e-11),
     ],
-    ids=["2d", "segment", "strip"],
+    ids=["2d", "segment"],
 )
 def test_small_integrand_calls_give_the_numbers_of_the_default_calls(monkeypatch, integrate):
     # a panel's sum does not depend on its place in its call, so every call size gives the same bits
     want = integrate()
     for call_points in (144, 288, 432, 720):  # 1 to 5 2-D panels, 9 to 48 segment panels a call
         monkeypatch.setattr("entropydiff.geomnum._CALL_POINTS", call_points)
-        monkeypatch.setattr("entropydiff.geomnum._STRIP_CALL_POINTS", call_points // 3)
         got = integrate()
         assert (got.panels, got.diagnostics) == (want.panels, want.diagnostics)
         assert (np.asarray(got.value).tobytes(), got.error) == (np.asarray(want.value).tobytes(), want.error)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from entropydiff import verify
 from entropydiff.errors import NonpositiveCurvature, ZeroCurvature
 from entropydiff.geomnum import ConformalMetricField, RectDomain
 from entropydiff.jets import Z, const
@@ -88,6 +89,25 @@ def test_liouville_never_runs_beside_the_shared_metric():
 
     alone = max(peak_mb(["ricci", "ecritical", "soliton"]), peak_mb(["liouville"]))
     assert peak_mb(["ricci", "ecritical", "soliton", "liouville"]) < 1.05 * alone
+
+
+@pytest.mark.parametrize(
+    "names, surface, t, message",
+    [
+        (["ricci", "foo"], "catenoid", None, "unknown check 'foo'"),
+        (["liouville", "soliton", "ht-period"], "catenoid", None, "ht-period measures H_t"),
+        (["ricci", "liouville"], None, None, "the liouville check needs a catalog surface"),
+        (["ht-period", "ricci", "bar"], "deformed-helicoid", 0.5, "unknown check 'bar'"),
+    ],
+)
+def test_a_refused_check_list_runs_no_check(monkeypatch, names, surface, t, message):
+    # a late refusal once computed the 401^2 metric and the ricci report before it exited
+    ran = []
+    for step in ("metric_fields", "solve_on_grid", "period_vector"):
+        monkeypatch.setattr(verify, step, lambda *args, step=step, **kwargs: ran.append(step))
+    with pytest.raises(ValueError, match=message):
+        run_checks(names, CATALOG["catenoid"].data, RectDomain.square(1.0).grid(401, 401), surface, t)
+    assert ran == []
 
 
 def test_liouville_reports_the_steps_of_its_hill_march():

@@ -17,6 +17,7 @@ from entropydiff.weierstrass import (
     entropy_coefficient,
     entropy_field,
     entropy_form_norms,
+    fields_of,
     hopf_coefficient,
     hopf_field,
     metric_fields,
@@ -377,24 +378,36 @@ def _block_cases() -> dict:
     }
 
 
+def _every_field(f):
+    return (f.G, f.q, f.h_over_G, f.hG, *f.metric.values(), f.rho, *f.norms, *(j.coeffs for j in f.form_jets), f._umbilic)
+
+
 @pytest.mark.parametrize("case", list(_block_cases()))
 def test_blocks_give_the_whole_set_fields_bit_for_bit(monkeypatch, case):
     data, zs = _block_cases()[case]
-
-    def every_field(f):
-        return [f.G, f.q, f.h_over_G, f.hG, *f.metric.values(), f.rho, *f.norms, *(j.coeffs for j in f.form_jets)]
-
-    monkeypatch.setattr("entropydiff.weierstrass._BLOCK", zs.size)  # one block: the whole set at once
     whole = SurfaceFields(data, zs)
     assert whole._fallback[1].any(), "the case needs circled nodes"
-    want = [_bits(v) for v in every_field(whole)]
+    want = [_bits(v) for v in _every_field(whole)]
+    monkeypatch.setattr("entropydiff.weierstrass._BLOCK", zs.size)  # one block: the whole set at once
+    assert [_bits(v) for v in fields_of(data, zs, _every_field)] == want
     monkeypatch.setattr("entropydiff.weierstrass._BLOCK", 7)  # 7 points a block, one circle a block
-    blocked = SurfaceFields(data, zs)
-    assert [_bits(v) for v in every_field(blocked)] == want
+    assert [_bits(v) for v in fields_of(data, zs, _every_field)] == want
     metric = metric_fields(data, zs)
     assert list(metric) == list(whole.metric)
     assert [_bits(v) for v in metric.values()] == [_bits(v) for v in whole.metric.values()]
-    assert _bits(hopf_field(data, zs)) == _bits(whole.q)
+    views = (hopf_field(data, zs), entropy_field(data, zs), *norm_fields(data, zs))
+    assert [_bits(v) for v in views] == [_bits(v) for v in (whole.q, whole.rho, *whole.norms)]
+
+
+def test_the_umbilic_mask_is_per_node():
+    # q = -2000 z: |q(1e-12)| = 2e-9 is no umbilic, whatever |q| = 2828 at 1 + i beside it
+    data = WeierstrassData(exp(const(1000.0) * Z**2), const(1.0), RectDomain.square(2.0))
+    pair = SurfaceFields(data, np.array([1e-12, 1 + 1j]))
+    alone = [SurfaceFields(data, [z])._umbilic[0] for z in pair.z]
+    assert list(pair._umbilic) == alone == [False, False]
+    assert entropy_coefficient(data, 1e-12) == pair.rho[0]
+    with pytest.raises(UmbilicPoint):
+        entropy_coefficient(data, 1e-13)
 
 
 def _values_cases() -> dict:
@@ -448,11 +461,7 @@ def test_the_metric_view_holds_one_block_of_jets():
 
 
 def test_a_far_strip_bundle_holds_one_block_of_temporaries():
-    # 15173 of the 65536 nodes are circled; the whole-set stages took 149 MB
+    # 15173 of the 65536 nodes are circled; the whole-set stages took 149 MB.  Every
+    # field of the set is 17 MB; fields_of took 25.8 MB
     data, zs = deformed_catenoid(0.4).data, RectDomain(35, 45, 0, 6.28).grid(256, 256).zs
-
-    def read_every_field():
-        f = SurfaceFields(data, zs)
-        f.metric, f.rho, f.norms, f.form_jets
-
-    assert _traced_peak_mb(read_every_field) < 40.0
+    assert _traced_peak_mb(lambda: fields_of(data, zs, _every_field)) < 32.0

@@ -380,6 +380,20 @@ def test_writers_hold_a_block_at_a_time(tmp_path):
         assert peak < 16e6
 
 
+def test_analyze_holds_one_block_of_jets():
+    # a bundle over the whole 256x256 grid peaked at 19.1 MB; one block at a time takes 9.1 MB,
+    # 4.2 MB of it the six fields of the report
+    cmd_analyze(build_parser().parse_args(["analyze", "--surface", "catenoid", "--grid", "8x8"]))  # warm
+    args = build_parser().parse_args(["analyze", "--surface", "deformed-catenoid", "--t", "0.3161", "--grid", "256x256"])
+    tracemalloc.start()
+    try:
+        cmd_analyze(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
 # ---------------------------------------------------------------------------
 # CLI documents against the oracle on the same document
 # ---------------------------------------------------------------------------
