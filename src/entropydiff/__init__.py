@@ -20,7 +20,7 @@ cli          the ``entropydiff`` command-line tool
 
 from .errors import EntropyDiffError
 from .geomnum import RectDomain, UniformGrid, ScalarField, ConformalMetricField, integrate2d
-from .jets import AnalyticExpr, Jet, MAX_JET_ORDER, Z, const, eval_jet, exp, parse_expression
+from .jets import AnalyticExpr, MAX_JET_ORDER, Z, const, eval_jet, exp, parse_expression
 from .weierstrass import (
     MetricSample,
     WeierstrassData,

@@ -409,6 +409,8 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_norm(args) -> dict:
+    if args.x_cut is not None and args.domain is not None:
+        raise BadInput("--x-cut replaces the x-range of --domain; give one or the other")
     data, params = _surface_from_args(args)
     dom = None if args.domain is None else data.domain
     if args.x_cut is not None:
@@ -489,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pn = sub.add_parser("norm", help="weighted entropy norm")
     _add_surface_args(pn)
-    pn.add_argument("--x-cut", dest="x_cut", type=float, help="truncate the x-range at +/- this value")
+    pn.add_argument("--x-cut", dest="x_cut", type=float, help="truncate the x-range at +/- this value (no --domain)")
     pn.add_argument("--tol", type=float, default=1e-6)
     pn.add_argument("--out")
     pn.set_defaults(fn=cmd_norm)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegeneratePoint, NotUnimodular, PoleOnPath, StepFailure
 from .geomnum import ConformalMetricField, ScalarField, UniformGrid, interior_stats, laplacian_conformal
-from .jets import AnalyticExpr, Jet, eval_jet, jet_div
+from .jets import AnalyticExpr, eval_jet, jet_div
 from .weierstrass import metric_from, taylor_schwarzian, weierstrass_forms
 
 __all__ = [
@@ -213,7 +213,7 @@ def _advance(rho: AnalyticExpr, z0, dz: complex, y: np.ndarray, nodes=(), out=No
         if frac < 1e-14:
             raise StepFailure("step size underflow in Hill integration")
         z = z0 + s * dz
-        r = eval_jet(rho, z, _ORDER - 2).coeffs
+        r = eval_jet(rho, z, _ORDER - 2)
         if not np.all(np.isfinite(r)):
             raise PoleOnPath(f"rho is not finite at z = {z[~np.isfinite(r).all(axis=0)][0]}")
         h = frac * dz
@@ -279,7 +279,7 @@ def integrate_hill(sys: HillSystem, path) -> PathSolution:
         raise ValueError("path must start at the system base point")
     za, zb = (np.array(ends, dtype=np.complex128) for ends in (path[:-1], path[1:]))
     probe = za[:, None] + (zb - za)[:, None] * np.linspace(0.0, 1.0, 33)
-    ok = np.isfinite(eval_jet(sys.rho, probe, 0).value).all(axis=1)
+    ok = np.isfinite(eval_jet(sys.rho, probe, 0)[0]).all(axis=1)
     if not ok.all():
         k = int(np.argmin(ok))
         raise PoleOnPath(f"rho has a pole on the segment {path[k]} -> {path[k + 1]}")
@@ -415,9 +415,9 @@ def reconstructed_rho(states, rho: AnalyticExpr, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.complex128)
     states = np.asarray(states, dtype=np.complex128)
-    c = _hill_series(eval_jet(rho, z, 1).coeffs, states[:, 0].T, states[:, 1].T, 3)
+    c = _hill_series(eval_jet(rho, z, 1), states[:, 0].T, states[:, 1].T, 3)
     swap = np.abs(c[0, 0]) < np.abs(c[0, 1])
-    R = jet_div(Jet(np.where(swap, c[:, 0], c[:, 1])), Jet(np.where(swap, c[:, 1], c[:, 0]))).coeffs
+    R = jet_div(np.where(swap, c[:, 0], c[:, 1]), np.where(swap, c[:, 1], c[:, 0]))
     return 2.0 * taylor_schwarzian(R)
 
 

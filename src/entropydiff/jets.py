@@ -6,15 +6,15 @@ one complex variable.  :func:`eval_jet` evaluates such an expression as a
 truncated Taylor series at a point, which is how every value (row 0) and
 derivative in the library is produced: no symbolic algebra, no differencing.
 
-A :class:`Jet` is nothing but its array of *Taylor coefficients*
-``coeffs[k] = f^(k)(z0) / k!`` rather than raw derivatives, so the
-arithmetic recurrences stay overflow-free; use :meth:`Jet.derivative` to
-recover ``f^(k)`` (the ``k!`` conversion lives there and nowhere else).
-Jets combine through :func:`jet_add`, :func:`jet_sub`, :func:`jet_mul`,
-:func:`jet_div`, :func:`jet_exp` and :func:`jet_pow`.
+A jet is its array of *Taylor coefficients* ``c[k] = f^(k)(z0) / k!``,
+with the order on the leading axis, rather than raw derivatives, so the
+arithmetic recurrences stay overflow-free.  Jets combine through
+:func:`jet_add`, :func:`jet_sub`, :func:`jet_mul`, :func:`jet_div`,
+:func:`jet_exp` and :func:`jet_pow`, which take such arrays and return one.
 
-Coefficient arrays may carry an arbitrary trailing shape, so one call can
-evaluate jets on a whole grid of base points at once.
+Coefficient arrays may carry an arbitrary trailing shape, one expansion
+per base point, so one call can evaluate jets on a whole grid of base
+points at once.
 
 Text is read by a regular-expression tokenizer and a recursive-descent
 parser; one table of the four binary operators serves the parser, the
@@ -125,7 +125,7 @@ class AnalyticExpr:
     def eval(self, z):
         """Row 0 of ``eval_jet(self, z, 0)``: a complex for a scalar ``z``
         (a pole raises PoleAtPoint), an ndarray otherwise (NaN at a pole)."""
-        value = eval_jet(self, z, 0).value
+        value = eval_jet(self, z, 0)[0]
         return value if isinstance(z, np.ndarray) else complex(value)
 
     __call__ = eval
@@ -356,73 +356,28 @@ def _parse_atom(toks: _Tokens, nesting: int) -> AnalyticExpr:
 # Jets
 # ---------------------------------------------------------------------------
 
-class Jet:
-    """Truncated Taylor series: ``coeffs[k]`` is the k-th *Taylor
-    coefficient* f^(k)(z0)/k! at the base point z0, which the jet does not
-    keep.  The leading axis of ``coeffs`` indexes the order; any trailing
-    axes carry a grid of base points evaluated simultaneously.  Jets have
-    no operators: combine them with :func:`jet_add` ... :func:`jet_pow`.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if self.coeffs.shape[0] < 1:
-            raise ValueError("a jet needs at least its value")
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def value(self):
-        """f(z0)."""
-        return self.coeffs[0]
-
-    def derivative(self, k: int):
-        """f^(k)(z0) = k! * coeffs[k] (the only place the k! lives)."""
-        if k > self.order:
-            raise OrderOverflow(f"jet of order {self.order} has no derivative {k}")
-        return self.coeffs[k] * _FACTORIAL[k]
-
-    def derivative_jet(self) -> "Jet":
-        """Jet of f' at the same base point, one order lower."""
-        if self.order < 1:
-            raise OrderOverflow("need order >= 1 to differentiate a jet")
-        k = np.arange(1, self.order + 1, dtype=np.float64)
-        return Jet(self.coeffs[1:] * k.reshape((-1,) + (1,) * (self.coeffs.ndim - 1)))
-
-    def __repr__(self):
-        return f"Jet({self.coeffs!r})"
+def jet_add(a, b):
+    m = min(len(a), len(b))
+    return a[:m] + b[:m]
 
 
-_FACTORIAL = np.array([float(np.prod(np.arange(1, k + 1))) if k else 1.0 for k in range(_INTERNAL_ORDER_CAP + 1)])
+def jet_sub(a, b):
+    m = min(len(a), len(b))
+    return a[:m] - b[:m]
 
 
-def jet_add(a: Jet, b: Jet) -> Jet:
-    m = min(a.order, b.order)
-    return Jet(a.coeffs[: m + 1] + b.coeffs[: m + 1])
-
-
-def jet_sub(a: Jet, b: Jet) -> Jet:
-    m = min(a.order, b.order)
-    return Jet(a.coeffs[: m + 1] - b.coeffs[: m + 1])
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    m = min(a.order, b.order)
-    ac, bc = a.coeffs, b.coeffs
-    out = np.zeros((m + 1,) + np.broadcast_shapes(ac.shape[1:], bc.shape[1:]), dtype=np.complex128)
-    for n in range(m + 1):
-        acc = ac[0] * bc[n]
+def jet_mul(a, b):
+    m = min(len(a), len(b))
+    out = np.zeros((m,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=np.complex128)
+    for n in range(m):
+        acc = a[0] * b[n]
         for j in range(1, n + 1):
-            acc = acc + ac[j] * bc[n - j]
+            acc = acc + a[j] * b[n - j]
         out[n] = acc
-    return Jet(out)
+    return out
 
 
-def jet_div(a: Jet, b: Jet) -> Jet:
+def jet_div(a, b):
     """Truncated quotient a/b to the common order, base point by base point.
 
     Where the denominator vanishes to some order k and the numerator at
@@ -433,16 +388,16 @@ def jet_div(a: Jet, b: Jet) -> Jet:
     denominator vanishes to every kept order, or faster than the numerator,
     the quotient is NaN at that point.
     """
-    return Jet(_quotient(a, b)[0])
+    return _quotient(a, b)[0]
 
 
-def _quotient(a: Jet, b: Jet):
+def _quotient(a, b):
     """(coeffs of a/b, mask of the points where more orders could help: those
     that lost orders and those where b showed no nonzero coefficient)."""
-    m = min(a.order, b.order)
-    shape = np.broadcast_shapes(a.coeffs.shape[1:], b.coeffs.shape[1:])
-    ac = np.broadcast_to(a.coeffs[: m + 1], (m + 1,) + shape)
-    bc = np.broadcast_to(b.coeffs[: m + 1], (m + 1,) + shape)
+    m = min(len(a), len(b)) - 1
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    ac = np.broadcast_to(a[: m + 1], (m + 1,) + shape)
+    bc = np.broadcast_to(b[: m + 1], (m + 1,) + shape)
 
     bmag, bmax, small = _denominator(bc)
     poles = ~(bmax > 0.0)  # no nonzero coefficient, or none but NaN
@@ -492,31 +447,29 @@ def _denominator(bc):
     return bmag, bmax, ~(bmag[0] > _CANCEL_RTOL * bmax)
 
 
-def quotient_needs_jet(b: Jet, order: int) -> np.ndarray:
+def quotient_needs_jet(b, order: int) -> np.ndarray:
     """The points where row 0 of a quotient of order ``order`` by ``b``
     (:func:`jet_div`) is not a0/b0: where it shifts the jets or flags a
     pole.  Everywhere else row 0 is a0/b0, whatever a's higher rows are."""
-    return _denominator(b.coeffs[: order + 1])[2]
+    return _denominator(b[: order + 1])[2]
 
 
-def jet_exp(a: Jet) -> Jet:
-    m = a.order
-    ac = a.coeffs
-    out = np.zeros_like(ac)
-    out[0] = np.exp(ac[0])
-    for n in range(1, m + 1):
-        acc = ac[n] * out[0] * n
+def jet_exp(a):
+    out = np.zeros_like(a)
+    out[0] = np.exp(a[0])
+    for n in range(1, len(a)):
+        acc = a[n] * out[0] * n
         for k in range(1, n):
-            acc = acc + k * ac[k] * out[n - k]
+            acc = acc + k * a[k] * out[n - k]
         out[n] = acc / n
-    return Jet(out)
+    return out
 
 
-def jet_pow(a: Jet, n: int) -> Jet:
+def jet_pow(a, n: int):
     if n == 0:
-        coeffs = np.zeros_like(a.coeffs)
-        coeffs[0] = 1.0
-        return Jet(coeffs)
+        out = np.zeros_like(a)
+        out[0] = 1.0
+        return out
     if n < 0:
         return jet_div(jet_pow(a, 0), jet_pow(a, -n))
     result = None
@@ -535,8 +488,9 @@ def jet_pow(a: Jet, n: int) -> Jet:
 # Expression -> jet evaluation
 # ---------------------------------------------------------------------------
 
-def eval_jet(expr: AnalyticExpr, z, order: int) -> Jet:
-    """Taylor jet of ``expr`` at ``z`` up to ``order``.
+def eval_jet(expr: AnalyticExpr, z, order: int) -> np.ndarray:
+    """Taylor jet of ``expr`` at ``z`` up to ``order``: its complex128
+    coefficient array, shaped ``(order + 1,) + np.shape(z)``.
 
     ``z`` may be a complex scalar or an ndarray of points (the jet then
     carries one expansion per point); a scalar is evaluated as a one-point
@@ -563,11 +517,11 @@ def eval_jet(expr: AnalyticExpr, z, order: int) -> Jet:
         with np.errstate(all="ignore"):  # overflow and poles surface as inf/NaN
             jet = _eval_jet_tree(expr, points if todo is None else points[todo], attempt, vanished)
         marked = np.flatnonzero(np.any(vanished, axis=0)) if vanished else _NO_POINTS
-        short = marked[~np.isfinite(jet.coeffs[: order + 1, marked]).all(axis=0)]
+        short = marked[~np.isfinite(jet[: order + 1, marked]).all(axis=0)]
         if todo is None:
-            coeffs, todo = jet.coeffs, short
+            coeffs, todo = jet, short
         else:
-            coeffs[:, todo] = jet.coeffs[: order + 1]
+            coeffs[:, todo] = jet[: order + 1]
             todo = todo[short]
         if not todo.size or attempt == _INTERNAL_ORDER_CAP:
             break
@@ -575,10 +529,10 @@ def eval_jet(expr: AnalyticExpr, z, order: int) -> Jet:
     coeffs = coeffs.reshape((order + 1,) + zz.shape)
     if zz.ndim == 0 and np.isnan(coeffs[0]):
         raise PoleAtPoint(f"expression is singular at {complex(zz)}")
-    return Jet(coeffs)
+    return coeffs
 
 
-def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list) -> Jet:
+def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list) -> np.ndarray:
     """The jet of ``expr`` at the points ``z``.  Each division appends to
     ``vanished`` a mask of the points where more orders could help: those
     that lost orders to a removable zero, and those where the denominator
@@ -598,29 +552,31 @@ def _eval_jet_tree(expr: AnalyticExpr, z: np.ndarray, order: int, vanished: list
         coeffs[0] = expr.value if kind == "const" else z
         if kind == "z" and order >= 1:
             coeffs[1] = 1.0
-        return Jet(coeffs)
+        return coeffs
     if kind in _ARITHMETIC:
         a, b = expr.args
         op = _ARITHMETIC[kind]
         if kind in ("add", "sub") and "const" in (a.kind, b.kind):
             first = a.kind == "const"  # c + e or c - e
-            e = _eval_jet_tree(b if first else a, z, order, vanished).coeffs
+            e = _eval_jet_tree(b if first else a, z, order, vanished)
             coeffs = op(0.0, e) if first else op(e, 0.0)
             coeffs[0] = op(a.value, e[0]) if first else op(e[0], b.value)
-            return Jet(coeffs)
+            return coeffs
         if kind == "mul" and _is_scale(a):
             a, b = b, a
         if kind in ("mul", "div") and _is_scale(b):
-            return Jet(op(_eval_jet_tree(a, z, order, vanished).coeffs, b.value))
+            return op(_eval_jet_tree(a, z, order, vanished), b.value)
         ja, jb = _eval_jet_tree(a, z, order, vanished), _eval_jet_tree(b, z, order, vanished)
+        if kind == "mul":
+            return jet_mul(ja, jb)
         if kind != "div":
-            return {"add": jet_add, "sub": jet_sub, "mul": jet_mul}[kind](ja, jb)
+            return op(ja, jb)  # both jets have order + 1 rows: jet_add and jet_sub
         coeffs, deepen = _quotient(ja, jb)
         if deepen.any():
             vanished.append(deepen)
-        return Jet(coeffs)
+        return coeffs
     if kind == "neg":
-        return Jet(-_eval_jet_tree(expr.args[0], z, order, vanished).coeffs)
+        return -_eval_jet_tree(expr.args[0], z, order, vanished)
     if kind == "pow":
         return jet_pow(_eval_jet_tree(expr.args[0], z, order, vanished), expr.value)
     if kind == "exp":

@@ -31,8 +31,8 @@ import numpy as np
 from .errors import PoleOnPath
 from .geomnum import RectDomain, UniformGrid, integrate_segment
 from .hill import spinor_metric
-from .jets import AnalyticExpr, eval_jet, jet_div, jet_mul
-from .weierstrass import WeierstrassData, fields_of, norms_from, weierstrass_forms
+from .jets import AnalyticExpr, eval_jet
+from .weierstrass import WeierstrassData, fields_of, norms_from, quotient_values, weierstrass_forms
 
 __all__ = [
     "ImmersionPoint",
@@ -56,17 +56,18 @@ def weierstrass_integrand(data: WeierstrassData):
     :func:`~entropydiff.weierstrass.weierstrass_forms`.
 
     Returns a callable mapping sample points (last axis) to a (3, ...)
-    complex array; removable combinations like h/G are jet-cancelled, so
+    complex array.  h/G and hG take the fields' rule,
+    :func:`~entropydiff.weierstrass.quotient_values` on jets of order 1:
+    removable combinations like h/G are jet-cancelled where G is small, so
     the integrand evaluates cleanly through Gauss-map poles and zeros of
     immersion data.
     """
 
     def f(zs):
         zz = np.asarray(zs, dtype=np.complex128)
-        jG = eval_jet(data.G, zz, 1)
-        jh = eval_jet(data.h, zz, 1)
+        c, d = eval_jet(data.G, zz, 1), eval_jet(data.h, zz, 1)
         with np.errstate(all="ignore"):
-            return weierstrass_forms(jet_div(jh, jG).value, jet_mul(jh, jG).value, jh.value)
+            return weierstrass_forms(*quotient_values(c, d)[1:], d[0])
 
     return f
 
@@ -225,7 +226,7 @@ def sample_mesh(data: WeierstrassData, resolution, domain: RectDomain | None = N
     grid = (domain or data.domain).grid(nx, ny)
     zs = grid.zs
     G, h_over_G, hG, K, T, That, forms = fields_of(data, zs, lambda f: (
-        f.G, f.h_over_G, f.hG, f.metric["K"], *f.norms, weierstrass_forms(*(j.coeffs for j in f.form_jets))))
+        f.G, f.h_over_G, f.hG, f.metric["K"], *f.norms, weierstrass_forms(*f.form_jets)))
     pole = ~(np.isfinite(h_over_G) & np.isfinite(hG))
     if pole.any():
         raise PoleOnPath(f"the Weierstrass data has a pole at the mesh node z = {zs[pole][0]}")
@@ -266,7 +267,7 @@ def spinor_mesh(grid: UniformGrid, fields: dict, rho: AnalyticExpr) -> SurfaceMe
     :func:`~entropydiff.weierstrass.norms_from` with q = 1."""
     w1, w2 = fields["w1"], fields["w2"]
     metric, pole = spinor_metric(w1, w2, grid.zs)
-    rho_values = eval_jet(rho, grid.zs, 0).value
+    rho_values = eval_jet(rho, grid.zs, 0)[0]
     T, That = norms_from(metric["lambda_sq"], rho_values, rho_values)  # q = 1, so q^2 rho = rho
     with np.errstate(all="ignore"):
         G = np.where(pole, np.inf, w2 / np.where(pole, 1.0, w1))

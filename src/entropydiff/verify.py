@@ -605,7 +605,7 @@ def hill_round_trip(rho: AnalyticExpr, n_samples: int = 50, reach: complex = 1.0
     recovered = reconstructed_rho(sol.states[1:], rho, pts)
     if not np.isfinite(recovered).all():
         raise PoleAtPoint(f"the rho recovered from the spinors is undefined at {pts[np.argmin(np.isfinite(recovered))]}")
-    worst = np.abs(recovered - eval_jet(rho, pts, 0).value).max()
+    worst = np.abs(recovered - eval_jet(rho, pts, 0)[0]).max()
     tol = TOLERANCES["round_trip_rho"]
     ok = worst <= tol and sol.wronskian_drift <= TOLERANCES["wronskian_drift"]
     return Report(

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import CriticalPoint, DegeneratePoint, PoleAtPoint, UmbilicPoint
 from .geomnum import RectDomain, by_blocks
-from .jets import AnalyticExpr, Jet, const, eval_jet, jet_div, jet_mul, quotient_needs_jet
+from .jets import AnalyticExpr, const, eval_jet, jet_div, jet_mul, quotient_needs_jet
 
 __all__ = [
     "WeierstrassData",
@@ -59,7 +59,7 @@ __all__ = [
     "schwarzian",
     "norm_fields",
     "entropy_form_norms",
-    "weierstrass_forms", "metric_from", "norms_from", "taylor_schwarzian",
+    "weierstrass_forms", "metric_from", "norms_from", "taylor_schwarzian", "quotient_values",
 ]
 
 # |T|_g = _T_NORM_FACTOR * |rho| / lambda^2, derived by contracting
@@ -212,50 +212,33 @@ def _rho_terms(G, G1, G2, G3, h, h1, h2):
 
 def _jets(data: WeierstrassData, z):
     """The one jet pass: the Taylor coefficients of G to order 3 and of h to
-    order 2 (all rho needs), and the values q, h/G and hG of :func:`_values`."""
-    jG, jh = eval_jet(data.G, z, 3), eval_jet(data.h, z, 2)
-    return (jG.coeffs, jh.coeffs, *_values(jG, jh))
+    order 2 (all rho needs), and the values q, h/G and hG of
+    :func:`quotient_values`."""
+    c, d = eval_jet(data.G, z, 3), eval_jet(data.h, z, 2)
+    return (c, d, *quotient_values(c, d))
 
 
-def _values(jG, jh):
-    """q, h/G and hG: row 0 of :func:`_parts`, by the same floating operations.
+def quotient_values(c, d):
+    """q = -h G'/G, h/G and hG from the Taylor coefficients c of G and d of
+    h: row 0 of their jets to d's order, by the same floating operations.
 
-    hG = h G takes no quotient.  q and h/G take the quotients of
-    :func:`_parts` only at the nodes where those would shift the jets or
-    flag a pole (:func:`~entropydiff.jets.quotient_needs_jet`, G's value
-    small against its jet); everywhere else row 0 of each quotient is its
-    numerator's value over G's.  jG has an order above jh's, so both
-    quotients have jh's order.
+    hG = h G takes no quotient.  q and h/G take the quotient jets only at
+    the nodes where those would shift the jets or flag a pole
+    (:func:`~entropydiff.jets.quotient_needs_jet`, G's value small against
+    its jet), which cancels a removable zero of G; everywhere else row 0 of
+    each quotient is its numerator's value over G's.  q needs c to an order
+    above d's, as the fields take them (3 and 2); the mesh integrand, with
+    both of order 1, takes only h/G and hG.
     """
-    G, G1, h = jG.coeffs[0], jG.coeffs[1], jh.coeffs[0]
+    G, G1, h = c[0], c[1], d[0]
     with np.errstate(all="ignore"):
         q, r, p = -(h * (G1 * 1.0) / G), h / G, h * G
-    full = quotient_needs_jet(jG, jh.order)
-    if full.any():
-        q[full], r_jet, _ = _parts(Jet(jG.coeffs[:, full]), Jet(jh.coeffs[:, full]))
-        r[full] = r_jet.value
+        full = quotient_needs_jet(c, len(d) - 1)
+        if full.any():
+            c, d = c[:, full], d[:, full]
+            dG = c[1:] * np.arange(1, len(c))[:, None]  # G' to one order less
+            q[full], r[full] = -jet_div(jet_mul(d, dG), c)[0], jet_div(d, c)[0]
     return q, r, p
-
-
-def _parts(jG, jh):
-    """q and the jets of h/G and hG (to the order of jh), with removable
-    quotients cancelled by the jets.
-
-    All three are holomorphic wherever the data describes an immersion
-    (h/G = -2 w1^2 and hG = -2 w2^2 in spinor terms).  Where G vanishes,
-    h/G keeps its value but not the orders the cancellation cost.  The
-    fields take all of it only at the nodes :func:`_values` names; the
-    mesh takes the jets of h/G and hG, :func:`_form_jets`, everywhere.
-    """
-    with np.errstate(all="ignore"):
-        return -jet_div(jet_mul(jh, jG.derivative_jet()), jG).value, *map(Jet, _form_jets(jG.coeffs, jh.coeffs))
-
-
-def _form_jets(c, d):
-    """The Taylor coefficients of h/G and hG of :func:`_parts`, from those c
-    of G and d of h."""
-    with np.errstate(all="ignore"):
-        return jet_div(Jet(d), Jet(c)).coeffs, jet_mul(Jet(d), Jet(c)).coeffs
 
 
 def _rho_and_scale(c, d):
@@ -297,14 +280,14 @@ class SurfaceFields:
     """Every first-order field of (G, h) on one point set, from one jet pass.
 
     ``G``, ``q``, ``h_over_G`` and ``hG`` are set on construction, from
-    the values of :func:`_values`: only the nodes where G's value is small
-    against its jet take the quotient jets of :func:`_parts`.  ``metric``
+    :func:`quotient_values`: only the nodes where G's value is small
+    against its jet take the quotient jets.  ``metric``
     (the dict of :func:`metric_fields`), ``rho``, ``norms`` (|T|, |T-hat|)
     and ``form_jets`` are derived on first access; ``form_jets`` takes the
     jets of h/G and hG at every node.  Recovered nodes are filled in
     throughout, except in ``form_jets``; a field with none to fill is the
     direct array itself.  The bundle keeps the Taylor coefficients of G and
-    h as plain arrays, for ``rho`` and ``form_jets``, and no state of the
+    h, for ``rho`` and ``form_jets``, and no state of the
     set as a whole; :func:`fields_of` gives it one block at a time.
     A scalar z is the one-point array [z], whose fields have shape (1,):
     numpy rounds 0-d complex arithmetic apart from the same operation
@@ -352,15 +335,19 @@ class SurfaceFields:
 
     @cached_property
     def form_jets(self):
-        """Jets of h/G, hG and h to order 2 at every node: the coefficients
-        of the Weierstrass 1-forms and their first two derivatives, direct
-        (not recovered).  Where h/G has a value but lost orders to a
-        vanishing G, those nodes alone take a jet of the expression h/G."""
-        r, p = _form_jets(self._cG, self._ch)
+        """The Taylor coefficients of h/G, hG and h to order 2 at every
+        node: the coefficients of the Weierstrass 1-forms and their first
+        two derivatives, direct (not recovered), with removable quotients
+        cancelled by the jets.  h/G and hG are holomorphic wherever the data
+        describes an immersion (-2 w1^2 and -2 w2^2 in spinor terms).  Where
+        h/G has a value but lost orders to a vanishing G, those nodes alone
+        take a jet of the expression h/G."""
+        with np.errstate(all="ignore"):
+            r, p = jet_div(self._ch, self._cG), jet_mul(self._ch, self._cG)
         short = np.isfinite(r[0]) & ~np.isfinite(r).all(axis=0)
         if short.any():
-            r[:, short] = eval_jet(self._data.h / self._data.G, self.z[short], len(r) - 1).coeffs
-        return Jet(r), Jet(p), Jet(self._ch)
+            r[:, short] = eval_jet(self._data.h / self._data.G, self.z[short], len(r) - 1)
+        return r, p, self._ch
 
     @cached_property
     def metric(self) -> dict:
@@ -488,7 +475,7 @@ def schwarzian(G: AnalyticExpr, z) -> complex:
     A scalar z is the one-point array [z] (the array's bits); a pole of G raises PoleAtPoint.
     """
     scalar = np.ndim(z) == 0
-    c = eval_jet(G, np.atleast_1d(z), 3).coeffs
+    c = eval_jet(G, np.atleast_1d(z), 3)
     critical = np.abs(c[1]) <= 1e-14 * np.maximum(np.abs(c).max(axis=0), 1.0)
     if scalar and np.isnan(c[0, 0]):
         raise PoleAtPoint(f"expression is singular at {complex(z)}")

@@ -459,6 +459,9 @@ def test_numeric_failure_exit_code(tmp_path):
         ("reconstruct", "--rho=-1", "--phi", "0", "--alpha", "1", "--mu", "1"),
         ("reconstruct", "--rho=-1", "--phi", "0", "--alpha", "1", "--nu", "0.5"),
         ("reconstruct", "--rho", "1", "--sidecar", os.devnull),
+        # --x-cut would replace the x-range of an explicit --domain
+        ("norm", "--surface", "catenoid", "--domain=0,1,0,1", "--x-cut", "3"),
+        ("norm", "--G", "exp(z)", "--h", "1", "--domain=0,1,0,1", "--x-cut", "3"),
     ],
 )
 def test_nonpositive_or_nonfinite_step_and_tolerance_are_bad_input(tmp_path, monkeypatch, capsys, argv):

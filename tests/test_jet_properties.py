@@ -99,7 +99,7 @@ def _worst_error(index: int):
         with mp.workdps(40):
             want = np.array([complex(c) for c in mp.taylor(lambda w: _mp_eval(e, w), mp.mpc(z0), ORDER)])
         removable = (e * (Z - z0)) / (Z - z0)
-        for got in (eval_jet(e, z0, ORDER).coeffs, eval_jet(removable, z0, ORDER).coeffs):
+        for got in (eval_jet(e, z0, ORDER), eval_jet(removable, z0, ORDER)):
             worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))))
     return worst, admitted
 

@@ -7,13 +7,11 @@ import pytest
 
 from entropydiff.errors import CriticalPoint, DegeneratePoint, PoleAtPoint, UmbilicPoint
 from entropydiff.geomnum import RectDomain
-from entropydiff.jets import Z, const, eval_jet, exp, parse_expression, quotient_needs_jet
+from entropydiff.jets import Z, const, eval_jet, exp, jet_div, jet_mul, parse_expression, quotient_needs_jet
 from entropydiff.models import deformed_catenoid
 from entropydiff.weierstrass import (
     SurfaceFields,
     WeierstrassData,
-    _parts,
-    _values,
     entropy_coefficient,
     entropy_field,
     entropy_form_norms,
@@ -23,6 +21,7 @@ from entropydiff.weierstrass import (
     metric_fields,
     metric_sample,
     norm_fields,
+    quotient_values,
     schwarzian,
 )
 
@@ -379,7 +378,7 @@ def _block_cases() -> dict:
 
 
 def _every_field(f):
-    return (f.G, f.q, f.h_over_G, f.hG, *f.metric.values(), f.rho, *f.norms, *(j.coeffs for j in f.form_jets), f._umbilic)
+    return (f.G, f.q, f.h_over_G, f.hG, *f.metric.values(), f.rho, *f.norms, *f.form_jets, f._umbilic)
 
 
 @pytest.mark.parametrize("case", list(_block_cases()))
@@ -427,21 +426,29 @@ def _values_cases() -> dict:
     return cases
 
 
+def _full_quotients(c, d):
+    """q = -h G'/G and the jets of h/G and hG, each a full quotient jet at
+    every node, from the Taylor coefficients c of G and d of h."""
+    dG = c[1:] * np.arange(1.0, len(c))[:, None]  # G' = sum k c_k (z - z0)^(k-1)
+    with np.errstate(all="ignore"):
+        return -jet_div(jet_mul(d, dG), c)[0], jet_div(d, c), jet_mul(d, c)
+
+
 @pytest.mark.parametrize("case", list(_values_cases()))
 def test_field_values_are_row_0_of_the_full_quotients_bit_for_bit(case):
     G, h = _values_cases()[case]
     zs = RectDomain.square(1.0).grid(9, 9).zs
-    jG, jh = eval_jet(G, zs.reshape(-1), 3), eval_jet(h, zs.reshape(-1), 2)
-    q, r, p = _parts(jG, jh)
+    c, d = eval_jet(G, zs.reshape(-1), 3), eval_jet(h, zs.reshape(-1), 2)
+    q, r, p = _full_quotients(c, d)
     if case.startswith("G="):
-        assert 0 < quotient_needs_jet(jG, 2).sum() < zs.size, "the case needs both kinds of node"
+        assert 0 < quotient_needs_jet(c, 2).sum() < zs.size, "the case needs both kinds of node"
     f = SurfaceFields(WeierstrassData(G, h, RectDomain.square(1.0)), zs)
-    assert [_bits(v) for v in _values(jG, jh)] == [_bits(v) for v in (q, r.value, p.value)]
-    assert [_bits(v.reshape(-1)) for v in f._direct] == [_bits(v) for v in (q, r.value, p.value)]
+    assert [_bits(v) for v in quotient_values(c, d)] == [_bits(v) for v in (q, r[0], p[0])]
+    assert [_bits(v.reshape(-1)) for v in f._direct] == [_bits(v) for v in (q, r[0], p[0])]
     # the form jets are the full ones, except where h/G lost orders to a zero of G
-    fr, fp, fh = (j.coeffs.reshape(3, -1) for j in f.form_jets)
-    kept = np.isfinite(r.coeffs).all(axis=0) | ~np.isfinite(r.value)
-    assert [_bits(fr[:, kept]), _bits(fp), _bits(fh)] == [_bits(r.coeffs[:, kept]), _bits(p.coeffs), _bits(jh.coeffs)]
+    fr, fp, fh = (j.reshape(3, -1) for j in f.form_jets)
+    kept = np.isfinite(r).all(axis=0) | ~np.isfinite(r[0])
+    assert [_bits(fr[:, kept]), _bits(fp), _bits(fh)] == [_bits(r[:, kept]), _bits(p), _bits(d)]
 
 
 def _traced_peak_mb(fn) -> float:
